@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "synat/atomicity/types.h"
 #include "synat/atomicity/variants.h"
 #include "synat/obs/provenance.h"
+#include "synat/support/budget.h"
 #include "synat/support/diag.h"
 
 namespace synat::atomicity {
@@ -47,7 +49,7 @@ struct InferOptions {
   /// (steps 1-7). Every procedure still contributes its variants to the
   /// cross-thread conflict universe, so the results for the selected
   /// procedures are identical to a whole-program run. Used by the batch
-  /// driver to parallelize at procedure granularity.
+  /// driver to classify only the procedures its result cache misses.
   std::vector<std::string> only_procs;
   /// Record a structured justification for every classification decision
   /// (DESIGN.md §3f): which step fired, citing which theorem, on which
@@ -74,6 +76,11 @@ struct ProcResult {
   Atomicity atomicity = Atomicity::N;  ///< join over variant bodies
   bool no_variants = false;  ///< pure non-terminating loop: trivially atomic
   bool bailed_out = false;
+  /// Set when the procedure exceeded VariantOptions::max_variants: it is
+  /// left unclassified (no variants, not atomic) and this carries the
+  /// budget slug and why. Its conservative clone still joins the conflict
+  /// universe, so every other procedure's result is unaffected.
+  std::optional<BudgetExceeded> over_budget;
   std::vector<VariantResult> variants;
   /// Procedure-level derivation records (step 0 variant/purity facts and
   /// the step 7 verdict). Empty unless InferOptions::provenance.

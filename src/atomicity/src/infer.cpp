@@ -973,16 +973,6 @@ AtomicityResult InferEngine::run() {
                  " exceptional variant(s) enter the conflict universe";
       recs.push_back(std::move(r));
     }
-    if (vs.budget_tripped && selected(pid)) {
-      // A non-selected proc over budget stays in the universe as its
-      // conservative clone; only the proc being classified degrades.
-      throw BudgetExceeded(
-          "max-variants",
-          "procedure '" +
-              std::string(prog_.syms().name(prog_.proc(pid).name)) +
-              "' exceeded the exceptional-variant budget (max " +
-              std::to_string(opts_.variant_opts.max_variants) + ")");
-    }
     sets.push_back(std::move(vs));
   }
 
@@ -999,6 +989,18 @@ AtomicityResult InferEngine::run() {
     if (!selected(vs.original)) continue;
     ProcResult pr;
     pr.proc = vs.original;
+    if (vs.budget_tripped) {
+      // The conservative clone stays in the universe above; only this
+      // procedure goes unclassified.
+      pr.over_budget = BudgetExceeded(
+          "max-variants",
+          "procedure '" +
+              std::string(prog_.syms().name(prog_.proc(pr.proc).name)) +
+              "' exceeded the exceptional-variant budget (max " +
+              std::to_string(opts_.variant_opts.max_variants) + ")");
+      result.procs_.push_back(std::move(pr));
+      continue;
+    }
     pr.bailed_out = vs.bailed_out;
     pr.no_variants = vs.variants.empty();
     if (opts_.provenance) {
@@ -1055,8 +1057,8 @@ AtomicityResult InferEngine::run() {
       }
       pr.prov.push_back(std::move(r));
       // The records are now part of a reported result: account for them.
-      // Done here (not at creation) so Procedure-granularity totals equal
-      // a whole-program run's.
+      // Done here (not at creation) so a restricted run's totals equal
+      // the whole-program run's for the same procedures.
       obs::count_provenance(pr.prov);
       for (const VariantResult& vr : pr.variants)
         obs::count_provenance(vr.prov);

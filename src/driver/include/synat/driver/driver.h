@@ -4,15 +4,16 @@
 // programs on a fixed-size thread pool, with optional content-addressed
 // memoization of per-procedure results.
 //
-// Concurrency model: every task parses its own Program from source, so no
-// AST is ever shared between threads (infer_atomicity appends variants to
-// the Program it analyzes and must own it). At Procedure granularity the
-// driver schedules one analysis task per original procedure — each task
-// restricts classification to its target via InferOptions::only_procs while
-// still building the whole-program conflict universe, so results are
-// bit-identical to a whole-program run but long programs no longer
-// serialize a worker. Output assembly is index-addressed, which makes the
-// rendered documents byte-identical for any --jobs value.
+// Concurrency model: one task per program. A task parses its program
+// once, looks up every procedure's cache entry, and runs one InferEngine
+// on that parse with InferOptions::only_procs set to the misses (every
+// procedure when there is no cache). The conflict universe stays
+// whole-program, so each result equals that of a run classifying every
+// procedure. No AST is ever shared between threads: infer_atomicity
+// appends variants to the Program it analyzes, and each task owns its
+// own. Parallelism is across programs only. Output assembly is
+// index-addressed, which makes the rendered documents byte-identical for
+// any --jobs value.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,6 @@
 #include "synat/atomicity/infer.h"
 #include "synat/driver/cache.h"
 #include "synat/driver/report.h"
-#include "synat/driver/thread_pool.h"
 #include "synat/driver/watchdog.h"
 
 namespace synat::obs {
@@ -43,24 +43,21 @@ struct ProgramInput {
   std::string load_error;
 };
 
-enum class Granularity : uint8_t {
-  Program,    ///< one task per program
-  Procedure,  ///< one parse task per program + one analysis task per proc
-};
-
 struct DriverOptions {
   /// Worker threads; 1 runs inline on the calling thread, 0 uses one
   /// worker per hardware thread.
   unsigned jobs = 1;
   /// Memoize per-procedure reports in `cache` (or an internal cache).
   bool use_cache = false;
-  Granularity granularity = Granularity::Procedure;
   /// Record per-stage wall times (adds clock calls on the hot path).
   bool collect_timings = false;
-  /// Wall-clock deadline per analysis task in milliseconds; 0 disables it.
-  /// A task over deadline is reported as degraded ("deadline"), the batch
-  /// proceeds. Deadline trips depend on machine speed, so results are only
-  /// byte-deterministic when no task trips (or the deadline is 0).
+  /// Wall-clock deadline per program in milliseconds; 0 disables it. It
+  /// caps the program's one engine run (and, with the cache on, its
+  /// fingerprint pass). On a trip every procedure the engine was
+  /// classifying is reported as degraded ("deadline"); cache hits keep
+  /// their reports and the batch proceeds. Deadline trips depend on
+  /// machine speed, so results are only byte-deterministic when no program
+  /// trips (or the deadline is 0).
   uint64_t deadline_ms = 0;
   /// Escalate instead of degrading: recovered parse errors fail the
   /// program (ParseError) and budget/deadline trips are internal errors.
@@ -113,10 +110,14 @@ class BatchDriver {
   ResultCache& cache() { return *cache_; }
 
  private:
-  struct Job;  // per-program scheduling state
+  /// This task's own cache lookups, summed into the run's Metrics.
+  struct CacheCounts {
+    size_t hits = 0;
+    size_t misses = 0;
+  };
 
-  void run_program_task(const ProgramInput& input, size_t index,
-                        ReportSink& sink, ThreadPool& pool);
+  CacheCounts run_program_task(const ProgramInput& input, size_t index,
+                               ReportSink& sink);
   /// Stage timing is collected when asked for (--timings) or whenever a
   /// wide-event sink needs per-program latencies.
   bool timed() const { return opts_.collect_timings || opts_.events != nullptr; }

@@ -1,7 +1,6 @@
 // Fixed-size worker pool with a FIFO work queue for the batch driver.
 //
-// Tasks may submit further tasks (the driver's parse stage enqueues one
-// analysis task per procedure), so `wait_idle` waits until the queue is
+// Tasks may submit further tasks, so `wait_idle` waits until the queue is
 // empty AND no worker is mid-task. Tasks must not throw; the driver wraps
 // every stage in its own try/catch and converts failures into reports.
 // With `threads == 0` the pool is inline: submit() runs the task on the

@@ -1,12 +1,18 @@
 #include "synat/driver/driver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "synat/atomicity/blocks.h"
 #include "synat/atomicity/infer.h"
 #include "synat/driver/journal.h"
+#include "synat/driver/thread_pool.h"
 #include "synat/driver/worker.h"
 #include "synat/obs/events.h"
 #include "synat/obs/metrics.h"
@@ -64,6 +70,8 @@ std::string hex64(uint64_t v) {
   for (int i = 15; i >= 0; --i, v >>= 4) s[static_cast<size_t>(i)] = digits[v & 0xf];
   return s;
 }
+
+synl::ProcId proc_id(size_t p) { return synl::ProcId(static_cast<uint32_t>(p)); }
 
 std::vector<DiagReport> diag_reports(const DiagEngine& diags) {
   std::vector<DiagReport> out;
@@ -186,7 +194,7 @@ std::shared_ptr<const ProcReport> with_key(std::shared_ptr<const ProcReport> r,
 uint64_t options_fingerprint(const atomicity::InferOptions& opts) {
   // only_procs is deliberately excluded: it restricts which procedures are
   // classified, never what any classification is, and the driver sets it
-  // per task.
+  // to each program's cache misses.
   // variant_opts.budget is likewise excluded: it only decides whether an
   // analysis finishes, never what a finished analysis computes (and
   // degraded results are never cached anyway).
@@ -211,8 +219,9 @@ BatchDriver::BatchDriver(DriverOptions opts, ResultCache* cache)
 
 BatchDriver::~BatchDriver() = default;
 
-void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
-                                   ReportSink& sink, ThreadPool& pool) {
+BatchDriver::CacheCounts BatchDriver::run_program_task(
+    const ProgramInput& input, size_t index, ReportSink& sink) {
+  CacheCounts counts;
   DiagEngine diags;
   synl::FrontEnd fe = [&] {
     StageTimer t(sink, index, Stage::Parse, timed());
@@ -222,7 +231,7 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
   size_t num_procs = prog.num_procs();
   size_t healthy = 0;
   for (size_t p = 0; p < num_procs; ++p)
-    if (!prog.proc(synl::ProcId(static_cast<uint32_t>(p))).broken) ++healthy;
+    if (!prog.proc(proc_id(p)).broken) ++healthy;
   // A program with errors is recovered — analyzed with its broken
   // procedures degraded — only when every error was contained to some
   // procedure and at least one procedure survived. --strict disables
@@ -237,7 +246,7 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
   if (diags.has_errors() && !recovered) {
     sink.fail_program(index, input.name, ProgramStatus::ParseError,
                       diag_reports(diags));
-    return;
+    return counts;
   }
   const uint64_t opts_fp = options_fingerprint(input.opts);
   uint64_t program_fp =
@@ -253,66 +262,61 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
   // the whole-program identity key in their `cache_key` field either way.
   // Provenance runs stay on whole-program keys: derivation records quote
   // other variants' source text and locations.
-  std::shared_ptr<const atomicity::ProgramFingerprint> fng;
+  atomicity::ProgramFingerprint fng;
   if (opts_.use_cache && !input.opts.provenance && !recovered) {
     obs::SpanScope fp_span(obs::StageId::Schedule);
     ExecBudget fbudget;
     Watchdog::Scope fscope(watchdog_.get(), fbudget, opts_.deadline_ms);
     atomicity::InferOptions fopts = input.opts;
     fopts.variant_opts.budget = &fbudget;
-    auto f = std::make_shared<atomicity::ProgramFingerprint>(
-        atomicity::fingerprint_program(prog, fopts));
-    if (f->complete && f->content.size() == num_procs) fng = std::move(f);
+    fng = atomicity::fingerprint_program(prog, fopts);
   }
-  auto content_key = [&fng, opts_fp](size_t p) {
-    return Hasher()
-        .mix(opts_fp)
-        .mix(fng->content[p])
-        .mix(fng->universe)
-        .value();
-  };
+  const bool content_keys = fng.complete && fng.content.size() == num_procs;
   if (recovered) sink.add_diagnostics(index, diag_reports(diags));
-  auto degrade_parse = [&prog, &sink, index](size_t p) {
-    synl::ProcId pid(static_cast<uint32_t>(p));
-    sink.set_proc(index, p,
-                  make_degraded_report(
-                      std::string(prog.syms().name(prog.proc(pid).name)),
-                      prog.proc(pid).loc.line, "parse",
-                      "procedure body failed to parse"));
-  };
 
-  // Program granularity (and the single-procedure fast path): analyze in
-  // this task, reusing the Program we just parsed.
-  if (opts_.granularity == Granularity::Program || num_procs <= 1) {
-    std::vector<uint64_t> keys(num_procs), addrs(num_procs);
-    bool all_hit = opts_.use_cache;
-    std::vector<std::shared_ptr<const ProcReport>> hits(num_procs);
-    for (size_t p = 0; p < num_procs; ++p) {
-      synl::ProcId pid(static_cast<uint32_t>(p));
-      if (prog.proc(pid).broken) continue;  // degraded; never keyed or cached
-      keys[p] = Hasher()
-                    .mix(program_fp)
-                    .mix(prog.syms().name(prog.proc(pid).name))
-                    .value();
-      addrs[p] = fng ? content_key(p) : keys[p];
-      if (opts_.use_cache) {
-        hits[p] = with_key(cache_->lookup(addrs[p]), keys[p]);
-        all_hit = all_hit && hits[p] != nullptr;
-      }
+  // Look up every healthy procedure; the cache misses are what the one
+  // engine below classifies. Broken procedures are degraded, never keyed.
+  std::vector<std::shared_ptr<const ProcReport>> reports(num_procs);
+  std::vector<uint64_t> keys(num_procs), addrs(num_procs);
+  std::vector<std::string> misses;
+  auto proc_name = [&prog](size_t p) {
+    return std::string(prog.syms().name(prog.proc(proc_id(p)).name));
+  };
+  auto proc_line = [&prog](size_t p) { return prog.proc(proc_id(p)).loc.line; };
+  auto publish = [&] {
+    for (size_t p = 0; p < num_procs; ++p)
+      sink.set_proc(index, p, std::move(reports[p]));
+  };
+  for (size_t p = 0; p < num_procs; ++p) {
+    std::string name = proc_name(p);
+    if (prog.proc(proc_id(p)).broken) {
+      reports[p] = make_degraded_report(name, proc_line(p), "parse",
+                                        "procedure body failed to parse");
+      continue;
     }
-    if (opts_.use_cache && all_hit) {
-      for (size_t p = 0; p < num_procs; ++p) {
-        if (prog.proc(synl::ProcId(static_cast<uint32_t>(p))).broken)
-          degrade_parse(p);
-        else
-          sink.set_proc(index, p, hits[p]);
-      }
-      return;
+    keys[p] = Hasher().mix(program_fp).mix(name).value();
+    addrs[p] = content_keys ? Hasher()
+                                  .mix(opts_fp)
+                                  .mix(fng.content[p])
+                                  .mix(fng.universe)
+                                  .value()
+                            : keys[p];
+    if (opts_.use_cache) {
+      reports[p] = with_key(cache_->lookup(addrs[p]), keys[p]);
+      ++(reports[p] != nullptr ? counts.hits : counts.misses);
     }
+    if (reports[p] == nullptr) misses.push_back(std::move(name));
+  }
+
+  if (!misses.empty()) {
+    // One engine over the Program parsed above. Restricting classification
+    // to the misses leaves the conflict universe whole-program, so each
+    // result equals that of a run classifying every procedure.
     ExecBudget budget;
     Watchdog::Scope scope(watchdog_.get(), budget, opts_.deadline_ms);
     atomicity::InferOptions iopts = input.opts;
     iopts.variant_opts.budget = &budget;
+    if (misses.size() != num_procs) iopts.only_procs = std::move(misses);
     atomicity::AtomicityResult result;
     try {
       result = [&] {
@@ -323,112 +327,44 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
       if (opts_.strict) {
         sink.fail_program(index, input.name, ProgramStatus::InternalError,
                           {{"error", 0, 0, e.what()}});
-        return;
+        return counts;
       }
-      // One budget covers the whole program at this granularity, so every
-      // surviving procedure degrades together.
-      for (size_t p = 0; p < num_procs; ++p) {
-        synl::ProcId pid(static_cast<uint32_t>(p));
-        if (prog.proc(pid).broken) {
-          degrade_parse(p);
-          continue;
-        }
-        sink.set_proc(index, p,
-                      make_degraded_report(
-                          std::string(prog.syms().name(prog.proc(pid).name)),
-                          prog.proc(pid).loc.line, e.reason(), e.what()));
-      }
-      return;
+      // One budget covers the whole engine run, so every procedure it was
+      // classifying degrades together; cache hits keep their reports.
+      for (size_t p = 0; p < num_procs; ++p)
+        if (reports[p] == nullptr)
+          reports[p] = make_degraded_report(proc_name(p), proc_line(p),
+                                            e.reason(), e.what());
+      publish();
+      return counts;
     }
     StageTimer tr(sink, index, Stage::Report, timed());
+    std::vector<DiagReport> over_budget;  // --strict escalations
     for (size_t p = 0; p < num_procs; ++p) {
-      synl::ProcId pid(static_cast<uint32_t>(p));
-      if (prog.proc(pid).broken) {
-        degrade_parse(p);
+      if (reports[p] != nullptr) continue;
+      const atomicity::ProcResult* pr = result.result_for(proc_id(p));
+      SYNAT_ASSERT(pr != nullptr, "missing procedure result");
+      if (pr->over_budget) {
+        const BudgetExceeded& e = *pr->over_budget;
+        if (opts_.strict)
+          over_budget.push_back({"error", proc_line(p), 0, e.what()});
+        else
+          reports[p] = make_degraded_report(proc_name(p), proc_line(p),
+                                            e.reason(), e.what());
         continue;
       }
-      const atomicity::ProcResult* pr = result.result_for(pid);
-      SYNAT_ASSERT(pr != nullptr, "missing procedure result");
-      std::shared_ptr<const ProcReport> report =
-          make_proc_report(prog, *pr, keys[p], iopts.provenance);
+      reports[p] = make_proc_report(prog, *pr, keys[p], iopts.provenance);
       if (opts_.use_cache)
-        report = with_key(cache_->insert(addrs[p], report), keys[p]);
-      sink.set_proc(index, p, report);
+        reports[p] = with_key(cache_->insert(addrs[p], reports[p]), keys[p]);
     }
-    return;
-  }
-
-  // Procedure granularity: one analysis task per procedure. Each task
-  // re-parses its own Program (ASTs are never shared across threads) and
-  // classifies only its target; the conflict universe is still whole-
-  // program, so the result equals the whole-program run.
-  for (size_t p = 0; p < num_procs; ++p) {
-    if (prog.proc(synl::ProcId(static_cast<uint32_t>(p))).broken) {
-      degrade_parse(p);  // no task: there is nothing to analyze
-      continue;
+    if (!over_budget.empty()) {
+      sink.fail_program(index, input.name, ProgramStatus::InternalError,
+                        std::move(over_budget));
+      return counts;
     }
-    pool.submit([this, &input, index, p, program_fp, opts_fp, fng, &sink] {
-      std::string name;  // filled before analysis so a budget trip can
-      uint32_t line = 0;  // still name its victim
-      try {
-        DiagEngine d;
-        synl::FrontEnd fe = [&] {
-          StageTimer t(sink, index, Stage::Parse, timed());
-          return synl::parse_and_recover(input.source, d);
-        }();
-        SYNAT_ASSERT(fe.contained, "reparse of a recovered program failed");
-        synl::Program& prog = fe.prog;
-        synl::ProcId pid(static_cast<uint32_t>(p));
-        name = std::string(prog.syms().name(prog.proc(pid).name));
-        line = prog.proc(pid).loc.line;
-        uint64_t key = Hasher().mix(program_fp).mix(name).value();
-        uint64_t addr = fng ? Hasher()
-                                  .mix(opts_fp)
-                                  .mix(fng->content[p])
-                                  .mix(fng->universe)
-                                  .value()
-                            : key;
-        if (opts_.use_cache) {
-          if (std::shared_ptr<const ProcReport> hit =
-                  with_key(cache_->lookup(addr), key)) {
-            sink.set_proc(index, p, std::move(hit));
-            return;
-          }
-        }
-        atomicity::InferOptions opts = input.opts;
-        opts.only_procs = {name};
-        ExecBudget budget;
-        Watchdog::Scope scope(watchdog_.get(), budget, opts_.deadline_ms);
-        opts.variant_opts.budget = &budget;
-        atomicity::AtomicityResult result = [&] {
-          StageTimer ta(sink, index, Stage::Analyze, timed());
-          return atomicity::infer_atomicity(prog, d, opts);
-        }();
-        std::shared_ptr<const ProcReport> report;
-        {
-          StageTimer tr(sink, index, Stage::Report, timed());
-          const atomicity::ProcResult* pr = result.result_for(pid);
-          SYNAT_ASSERT(pr != nullptr, "missing procedure result");
-          report = make_proc_report(prog, *pr, key, opts.provenance);
-        }
-        if (opts_.use_cache)
-          report = with_key(cache_->insert(addr, report), key);
-        sink.set_proc(index, p, std::move(report));
-      } catch (const BudgetExceeded& e) {
-        if (opts_.strict) {
-          sink.fail_program(index, input.name, ProgramStatus::InternalError,
-                            {{"error", line, 0, e.what()}});
-        } else {
-          sink.set_proc(
-              index, p,
-              make_degraded_report(name, line, e.reason(), e.what()));
-        }
-      } catch (const std::exception& e) {
-        sink.fail_program(index, input.name, ProgramStatus::InternalError,
-                          {{"error", 0, 0, e.what()}});
-      }
-    });
   }
+  publish();
+  return counts;
 }
 
 BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
@@ -509,7 +445,10 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     }
   }
 
-  size_t hits0 = cache_->hits(), misses0 = cache_->misses();
+  // Hits and misses are counted at this run's own lookups, never as
+  // differences of the cache's lifetime counters: a shared cache (serve)
+  // is looked up by concurrent runs too.
+  std::atomic<size_t> cache_hits{0}, cache_misses{0};
   if (opts_.isolate) {
     // Supervisor path: sandboxed one-shot workers. Must fork before any
     // thread exists, so no Watchdog/ThreadPool is created here (workers
@@ -527,9 +466,11 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     ThreadPool pool(jobs <= 1 ? 0 : jobs);
     for (size_t i = 0; i < inputs.size(); ++i) {
       if (done[i]) continue;
-      pool.submit([this, &inputs, i, &sink, &pool] {
+      pool.submit([this, &inputs, i, &sink, &cache_hits, &cache_misses] {
         try {
-          run_program_task(inputs[i], i, sink, pool);
+          CacheCounts c = run_program_task(inputs[i], i, sink);
+          cache_hits += c.hits;
+          cache_misses += c.misses;
         } catch (const std::exception& e) {
           sink.fail_program(i, inputs[i].name, ProgramStatus::InternalError,
                             {{"error", 0, 0, e.what()}});
@@ -538,9 +479,17 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     }
     pool.wait_idle();
   }
+#ifdef __GLIBC__
+  // The pool's workers, now exited, each allocated from a malloc arena that
+  // the next run's workers take over in whatever order they start. What an
+  // engine freed stays resident below any block still in use (a report
+  // handed to the caller), so without this a long-lived process's resident
+  // size would drift with which worker happened to analyze which program.
+  if (!opts_.isolate && jobs > 1) malloc_trim(0);
+#endif
   journal.close();
-  counters.cache_hits = cache_->hits() - hits0;
-  counters.cache_misses = cache_->misses() - misses0;
+  counters.cache_hits = cache_hits;
+  counters.cache_misses = cache_misses;
   // rejected() is a lifetime counter and load() runs before run(), so the
   // absolute value (not a delta) is what this batch observed.
   counters.cache_rejected = cache_->rejected();

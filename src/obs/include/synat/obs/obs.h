@@ -30,7 +30,7 @@ enum class StageId : uint8_t {
   Infer,
   Blocks,
   // Driver stages (category "driver").
-  Analyze,        ///< whole per-procedure analysis task
+  Analyze,        ///< one program's inference engine run
   Report,         ///< report assembly from analysis results
   CacheLookup,
   CacheStore,

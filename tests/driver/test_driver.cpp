@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <thread>
 
 #include "synat/corpus/corpus.h"
 
@@ -38,13 +39,6 @@ TEST(BatchDriver, JsonDeterministicAcrossJobCounts) {
   }
 }
 
-TEST(BatchDriver, ProcedureGranularityMatchesProgramGranularity) {
-  DriverOptions per_proc;
-  DriverOptions per_prog;
-  per_prog.granularity = Granularity::Program;
-  EXPECT_EQ(run_json(per_proc), run_json(per_prog));
-}
-
 // Everything up to the metrics block; the cache_hits/cache_misses counters
 // legitimately differ between a cold and a warm run.
 std::string analysis_part(const std::string& json) {
@@ -68,6 +62,28 @@ TEST(BatchDriver, WarmCacheRunIsByteIdenticalAndAllHits) {
   DriverOptions plain;
   // Caching never changes verdicts.
   EXPECT_EQ(analysis_part(run_json(plain)), analysis_part(cold));
+}
+
+// A run's hit and miss counts come from its own lookups, never from the
+// shared cache's lifetime counters: two runs overlapping on one cache (the
+// serve daemon's situation) each count exactly their own procedures.
+TEST(BatchDriver, ConcurrentRunsOnOneCacheCountOnlyTheirOwnLookups) {
+  ResultCache cache;
+  DriverOptions opts;
+  opts.use_cache = true;
+  const std::vector<ProgramInput> inputs = corpus_inputs();
+  auto client = [&] {
+    for (int i = 0; i < 25; ++i) {
+      if (i % 5 == 0) cache.clear();  // keep misses in the mix
+      BatchDriver drv(opts, &cache);
+      BatchReport r = drv.run(inputs);
+      EXPECT_EQ(r.metrics.cache_hits + r.metrics.cache_misses,
+                r.metrics.procedures);
+    }
+  };
+  std::thread a(client), b(client);
+  a.join();
+  b.join();
 }
 
 TEST(BatchDriver, CachePersistedAcrossProcessesViaSnapshot) {
@@ -224,36 +240,83 @@ TEST(BatchDriver, RecoveredParseErrorDegradesOnlyBrokenProc) {
   EXPECT_EQ(r.exit_code(), 1);
 }
 
-TEST(BatchDriver, RecoveryIdenticalAcrossGranularities) {
-  ProgramInput in;
-  in.name = "mixed.synl";
-  in.source = kMixedSource;
-  DriverOptions per_proc;
-  DriverOptions per_prog;
-  per_prog.granularity = Granularity::Program;
-  BatchDriver a(per_proc), b(per_prog);
-  EXPECT_EQ(to_json(a.run({in})), to_json(b.run({in})));
+/// One procedure's report rendered on its own (with its provenance), so
+/// procedures of runs under different options compare byte for byte. The
+/// cache key names the options, so it is left out.
+std::string proc_json(const std::shared_ptr<const ProcReport>& p) {
+  auto unkeyed = std::make_shared<ProcReport>(*p);
+  unkeyed->key = 0;
+  BatchReport r;
+  ProgramReport prog;
+  prog.procs.push_back(std::move(unkeyed));
+  r.programs.push_back(std::move(prog));
+  RenderOptions ropts;
+  ropts.provenance = true;
+  return to_json(r, ropts);
 }
 
 TEST(BatchDriver, VariantBudgetDegradesOnlyExplodingProc) {
-  BatchDriver drv(DriverOptions{});
-  BatchReport r = drv.run({nfq_prime_input(/*max_variants=*/1)});
-  ASSERT_EQ(r.programs.size(), 1u);
-  EXPECT_EQ(r.programs[0].status, ProgramStatus::Ok);
-  size_t degraded = 0;
-  for (const auto& p : r.programs[0].procs) {
-    if (p->name == "Deq") {
-      EXPECT_TRUE(p->degraded);
-      EXPECT_EQ(p->degrade_kind, "max-variants");
-      EXPECT_EQ(p->atomicity, "unknown");
-      ++degraded;
+  for (bool provenance : {false, true}) {
+    ProgramInput budgeted = nfq_prime_input(/*max_variants=*/1);
+    ProgramInput unbudgeted = nfq_prime_input();
+    budgeted.opts.provenance = unbudgeted.opts.provenance = provenance;
+    BatchDriver drv(DriverOptions{});
+    BatchReport r = drv.run({budgeted});
+    BatchReport clean = drv.run({unbudgeted});
+    ASSERT_EQ(r.programs.size(), 1u);
+    EXPECT_EQ(r.programs[0].status, ProgramStatus::Ok);
+    ASSERT_EQ(r.programs[0].procs.size(), clean.programs[0].procs.size());
+    size_t degraded = 0;
+    for (size_t i = 0; i < r.programs[0].procs.size(); ++i) {
+      const auto& p = r.programs[0].procs[i];
+      if (p->name == "Deq") {
+        EXPECT_TRUE(p->degraded);
+        EXPECT_EQ(p->degrade_kind, "max-variants");
+        EXPECT_EQ(p->atomicity, "unknown");
+        ++degraded;
+      } else {
+        // The exploding procedure's conservative clone stays in the
+        // universe, so each healthy sibling's report is the unbudgeted one.
+        EXPECT_FALSE(p->degraded) << p->name;
+        EXPECT_EQ(proc_json(p), proc_json(clean.programs[0].procs[i]))
+            << p->name << " provenance=" << provenance;
+      }
+    }
+    EXPECT_EQ(degraded, 1u);
+    EXPECT_EQ(r.metrics.degraded, 1u);
+    EXPECT_EQ(r.exit_code(), 1);
+  }
+}
+
+// A warm run whose only miss trips the budget: the engine classifies just
+// that procedure, which degrades again (degraded reports are never cached),
+// while the hits are served untouched.
+TEST(BatchDriver, VariantBudgetMissLeavesCacheHitsUntouched) {
+  DriverOptions opts;
+  opts.use_cache = true;
+  ResultCache cache;
+  BatchDriver drv(opts, &cache);
+  BatchReport cold = drv.run({nfq_prime_input(/*max_variants=*/1)});
+  EXPECT_EQ(cold.metrics.cache_hits, 0u);
+  EXPECT_EQ(cold.metrics.cache_misses, 3u);
+  BatchReport warm = drv.run({nfq_prime_input(/*max_variants=*/1)});
+  EXPECT_EQ(warm.metrics.cache_hits, 2u);    // AddNode, UpdateTail
+  EXPECT_EQ(warm.metrics.cache_misses, 1u);  // Deq, never cached
+  // Apart from the cache counters, the documents are identical.
+  warm.metrics.cache_hits = warm.metrics.cache_misses = 0;
+  cold.metrics.cache_hits = cold.metrics.cache_misses = 0;
+  EXPECT_EQ(to_json(warm), to_json(cold));
+  const auto& procs = warm.programs.at(0).procs;
+  ASSERT_EQ(procs.size(), 3u);
+  for (size_t i = 0; i < procs.size(); ++i) {
+    if (procs[i]->name == "Deq") {
+      EXPECT_TRUE(procs[i]->degraded);
+      EXPECT_EQ(procs[i]->degrade_kind, "max-variants");
     } else {
-      EXPECT_FALSE(p->degraded) << p->name;
+      // The very objects the cold run inserted, not re-analyzed copies.
+      EXPECT_EQ(procs[i], cold.programs.at(0).procs[i]) << procs[i]->name;
     }
   }
-  EXPECT_EQ(degraded, 1u);
-  EXPECT_EQ(r.metrics.degraded, 1u);
-  EXPECT_EQ(r.exit_code(), 1);
 }
 
 TEST(BatchDriver, JobsZeroClampsToHardwareConcurrency) {

@@ -15,6 +15,7 @@
 #include "synat/corpus/corpus.h"
 #include "synat/driver/driver.h"
 #include "synat/obs/metrics.h"
+#include "synat/obs/trace.h"
 
 namespace synat::serve {
 namespace {
@@ -180,6 +181,37 @@ TEST(ServeService, IncrementalReanalysis) {
   JsonValue cold = result_of(
       call(cold_service, analyze_request(after, "incr")));
   EXPECT_EQ(warm.get("report")->str, cold.get("report")->str);
+}
+
+// The work behind the incremental contract: after a one-procedure edit the
+// request parses the program once and runs mover classification only for
+// the edited procedure's variants (Deq of NFQ' has two); the other
+// procedures are cache hits and are never classified again.
+TEST(ServeService, EditClassifiesOnlyTheEditedProcedure) {
+  const std::string before(corpus::get("nfq_prime").source);
+  std::string after = before;
+  const std::string from = "return 0 - 1;", to = "return 0 - 2;";
+  after.replace(after.find(from), from.size(), to);
+
+  ServiceOptions sopts;
+  sopts.jobs = 1;
+  Service service(sopts);
+  result_of(call(service, analyze_request(before, "nfq")));
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.reset();
+  obs::set_flags(obs::kTraceFlag);
+  JsonValue warm = result_of(call(service, analyze_request(after, "nfq")));
+  obs::set_flags(0);
+  size_t parses = 0, movers = 0;
+  for (const obs::SpanRecord& s : tracer.drain()) {
+    if (s.stage == static_cast<uint32_t>(obs::StageId::Parse)) ++parses;
+    if (s.stage == static_cast<uint32_t>(obs::StageId::Movers)) ++movers;
+  }
+  EXPECT_EQ(warm.get("procedures_reanalyzed")->number, 1);
+  EXPECT_EQ(warm.get("cache_hits")->number, 2);
+  EXPECT_EQ(parses, 1u);
+  EXPECT_EQ(movers, 2u);
 }
 
 TEST(ServeService, BackpressureRejectsOverload) {

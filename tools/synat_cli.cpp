@@ -18,8 +18,10 @@
 // analyze options: --no-variants --no-windows --no-conds --counted <k>
 // batch options: --all (whole corpus) --jobs N (0 = one per hardware
 //                thread) --cache --cache-file FILE --format json|sarif|text
-//                --timings --per-program -o FILE --deadline-ms N
+//                --timings -o FILE --deadline-ms N (per program)
 //                --max-variants N --strict
+//                --per-program (accepted for compatibility; no effect:
+//                every program is parsed once and analyzed by one engine)
 //                --isolate (run each program in a sandboxed worker process;
 //                a worker crash degrades that one program, exit 1)
 //                --max-rss-mb N (per-worker address-space cap)
@@ -324,7 +326,7 @@ int cmd_batch(int argc, char** argv) {
     } else if (a == "--no-conds") {
       no_conds = true;
     } else if (a == "--per-program") {
-      dopts.granularity = driver::Granularity::Program;
+      // No-op: one engine per program is the only analysis path.
     } else if (a == "-o" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (a != "-" && !a.empty() && a[0] == '-') {
