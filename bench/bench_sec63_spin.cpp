@@ -16,8 +16,15 @@
 // Note one divergence: with every procedure declared atomic our checker
 // fully serializes execution, so "both" cannot improve on "atomic"
 // (SPIN's statement-level atomics still left room for its POR).
+//
+// Every configuration's states, transitions, time, states/s and seen-table
+// bytes per state are written to BENCH_mc.json in the working directory
+// (or to $SYNAT_BENCH_OUT).
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "synat/corpus/corpus.h"
 #include "synat/mc/mc.h"
@@ -44,6 +51,51 @@ mc::Result run_cfg(const interp::CompiledProgram& cp, int threads, bool por,
   return checker.run(spec);
 }
 
+struct Measured {
+  int threads;
+  const char* config;
+  mc::Result r;
+};
+
+/// "model name" from /proc/cpuinfo: the timings mean nothing without it.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    size_t start = line.find_first_not_of(" \t", line.find(':') + 1);
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
+void write_bench_json(const char* path, const std::vector<Measured>& rows) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::printf("cannot write %s\n", path);
+    return;
+  }
+  std::fprintf(f, "{\n  \"bench\": \"mc_sec63_spin\",\n  \"cpu_model\": \"%s\",\n"
+               "  \"configurations\": [\n", cpu_model().c_str());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const mc::Result& r = rows[i].r;
+    const double states = static_cast<double>(r.states);
+    std::fprintf(f,
+                 "    {\"threads\": %d, \"config\": \"%s\", \"states\": %llu, "
+                 "\"transitions\": %llu, \"exhaustive\": %s, \"seconds\": %.3f, "
+                 "\"states_per_s\": %.0f, \"seen_bytes_per_state\": %.2f}%s\n",
+                 rows[i].threads, rows[i].config,
+                 static_cast<unsigned long long>(r.states),
+                 static_cast<unsigned long long>(r.transitions),
+                 r.hit_state_limit ? "false" : "true", r.seconds,
+                 r.seconds > 0 ? states / r.seconds : 0.0,
+                 static_cast<double>(r.seen_bytes) / states,
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,17 +113,19 @@ int main(int argc, char** argv) {
 
   struct Cfg {
     const char* label;
+    const char* key;
     bool por, atomic;
     uint64_t paper;
   };
   const Cfg cfgs[] = {
-      {"no optimization", false, false, 4069080},
-      {"partial-order reduction", true, false, 452043},
-      {"atomic (analysis-inferred)", false, true, 69215},
-      {"both", true, true, 4619},
+      {"no optimization", "none", false, false, 4069080},
+      {"partial-order reduction", "por", true, false, 452043},
+      {"atomic (analysis-inferred)", "atomic", false, true, 69215},
+      {"both", "both", true, true, 4619},
   };
 
   bool ok = true;
+  std::vector<Measured> measured;
 
   // Full table, 2 threads.
   std::printf("-- 2 threads (exhaustive) --\n");
@@ -85,6 +139,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     states2[i++] = r.states;
+    measured.push_back({2, c.key, r});
     std::printf("| %-28s | %12s | %7.2fs |\n", c.label,
                 with_commas(r.states).c_str(), r.seconds);
   }
@@ -104,6 +159,7 @@ int main(int argc, char** argv) {
   for (const Cfg& c : cfgs) {
     mc::Result r = run_cfg(cp, 3, c.por, c.atomic, cap);
     states3[i++] = r.states;
+    measured.push_back({3, c.key, r});
     std::string cell = with_commas(r.states);
     if (r.hit_state_limit) cell = ">= " + cell + " (cap)";
     std::printf("| %-28s | %14s | %12s | %7.2fs |\n", c.label, cell.c_str(),
@@ -119,5 +175,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nordering none > POR > atomic >= both, atomic >> none: %s\n",
               ok ? "PASS" : "FAIL");
+  const char* out = std::getenv("SYNAT_BENCH_OUT");
+  write_bench_json(out ? out : "BENCH_mc.json", measured);
   return ok ? 0 : 1;
 }

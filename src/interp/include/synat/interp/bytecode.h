@@ -65,6 +65,7 @@ struct CompiledProc {
   std::string name;
   uint32_t num_params = 0;
   uint32_t frame_size = 0;  ///< params + locals
+  uint32_t max_stack = 0;   ///< deepest operand stack any path reaches
   std::vector<Insn> code;
   bool declared_atomic = false;  ///< set by the model-checker configuration
 };

@@ -31,14 +31,18 @@ enum class StepResult : uint8_t {
 
 class Interp {
  public:
-  Interp(const CompiledProgram& cp, int array_size = 3)
-      : cp_(cp), array_size_(array_size) {}
+  Interp(const CompiledProgram& cp, int array_size = 3);
 
   const CompiledProgram& program() const { return cp_; }
 
   /// Fresh state with one thread per spec, all at pc 0. Globals are
   /// zero/null/false; thread-locals likewise.
   State initial_state(const std::vector<ThreadSpec>& threads) const;
+
+  /// Points thread `tid` at the start of `proc` with `args` and an empty
+  /// stack, keeping its thread-locals and links.
+  void start_thread(State& s, int tid, int proc,
+                    const std::vector<Value>& args) const;
 
   /// Executes one instruction of thread `tid`.
   StepResult step(State& s, int tid, std::string* error) const;
@@ -68,6 +72,7 @@ class Interp {
 
   const CompiledProgram& cp_;
   int array_size_;
+  uint32_t stride_ = 0;  ///< State::stride of the states this creates
 };
 
 }  // namespace synat::interp

@@ -10,15 +10,17 @@ namespace synat::interp {
 using ObjId = uint32_t;
 inline constexpr ObjId kNull = 0;
 
+/// 16 bytes: the payloads come first so the kind packs into their padding.
 struct Value {
-  enum Kind : uint8_t { Unit, Int, Bool, Ref } kind = Unit;
+  enum Kind : uint8_t { Unit, Int, Bool, Ref };
   int64_t i = 0;  ///< integer / boolean payload
   ObjId ref = kNull;
+  Kind kind = Unit;
 
   static Value unit() { return {}; }
-  static Value of_int(int64_t v) { return {Int, v, kNull}; }
-  static Value of_bool(bool v) { return {Bool, v ? 1 : 0, kNull}; }
-  static Value of_ref(ObjId o) { return {Ref, 0, o}; }
+  static Value of_int(int64_t v) { return {v, kNull, Int}; }
+  static Value of_bool(bool v) { return {v ? 1 : 0, kNull, Bool}; }
+  static Value of_ref(ObjId o) { return {0, o, Ref}; }
   static Value null() { return of_ref(kNull); }
 
   bool truthy() const { return kind == Bool ? i != 0 : (kind == Ref ? ref != kNull : i != 0); }

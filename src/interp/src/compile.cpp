@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <unordered_map>
 
 #include "synat/interp/bytecode.h"
@@ -415,6 +416,58 @@ class ProcCompiler {
   StmtId cur_stmt_;
 };
 
+/// Net operand-stack effect of one instruction (pops before pushes, so a
+/// step never holds more than max(depth before, depth after) values).
+int stack_effect(Op op) {
+  switch (op) {
+    case Op::Nop: case Op::Jump: case Op::LoadField: case Op::Unary:
+    case Op::LLField: case Op::VLField: case Op::SCGlobal:
+      return 0;
+    case Op::PushInt: case Op::PushBool: case Op::PushNull: case Op::LoadLocal:
+    case Op::LoadGlobal: case Op::LoadTL: case Op::New: case Op::LLGlobal:
+    case Op::VLGlobal:
+      return 1;
+    case Op::Pop: case Op::StoreLocal: case Op::StoreGlobal: case Op::StoreTL:
+    case Op::LoadElem: case Op::Binary: case Op::LLElem: case Op::VLElem:
+    case Op::SCField: case Op::CASGlobal: case Op::JumpIfFalse:
+    case Op::Acquire: case Op::Release: case Op::Assume: case Op::Assert:
+    case Op::Return:
+      return -1;
+    case Op::StoreField: case Op::SCElem: case Op::CASField:
+      return -2;
+    case Op::StoreElem: case Op::CASElem:
+      return -3;
+  }
+  return 0;
+}
+
+/// Deepest operand stack over every path from pc 0. Statements leave the
+/// stack as they found it, so each pc has one depth.
+uint32_t max_stack_depth(const std::vector<Insn>& code) {
+  std::vector<int> depth(code.size(), -1);
+  std::vector<size_t> work;
+  auto reach = [&](size_t pc, int d) {
+    if (pc < code.size() && depth[pc] < 0) {
+      depth[pc] = d;
+      work.push_back(pc);
+    }
+  };
+  reach(0, 0);
+  int peak = 0;
+  while (!work.empty()) {
+    size_t pc = work.back();
+    work.pop_back();
+    const Insn& in = code[pc];
+    int out = depth[pc] + stack_effect(in.op);
+    peak = std::max({peak, depth[pc], out});
+    if (in.op == Op::Return) continue;
+    if (in.op == Op::Jump || in.op == Op::JumpIfFalse)
+      reach(static_cast<size_t>(in.a), out);
+    if (in.op != Op::Jump) reach(pc + 1, out);
+  }
+  return static_cast<uint32_t>(peak);
+}
+
 }  // namespace
 
 CompiledProgram compile_program(const Program& prog, DiagEngine& diags,
@@ -431,6 +484,7 @@ CompiledProgram compile_program(const Program& prog, DiagEngine& diags,
     synl::ProcId pid(static_cast<uint32_t>(i));
     if (!include_variants && prog.proc(pid).variant_of.valid()) continue;
     cp.procs.push_back(ProcCompiler(prog, cp, pid, diags).run());
+    cp.procs.back().max_stack = max_stack_depth(cp.procs.back().code);
   }
   return cp;
 }

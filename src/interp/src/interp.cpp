@@ -1,5 +1,7 @@
 #include "synat/interp/interp.h"
 
+#include <algorithm>
+
 namespace synat::interp {
 
 using synl::BinOp;
@@ -46,6 +48,54 @@ Value eval_binary(BinOp op, const Value& a, const Value& b) {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// LL reservations
+
+std::span<const Link> State::links_of(uint32_t tid) const {
+  auto lo = std::partition_point(links.begin(), links.end(),
+                                 [&](const Link& l) { return l.tid < tid; });
+  auto hi = std::partition_point(lo, links.end(),
+                                 [&](const Link& l) { return l.tid == tid; });
+  return {lo, hi};
+}
+
+const Link* State::find_link(uint32_t tid, const LocKey& key) const {
+  for (const Link& l : links_of(tid))
+    if (l.key == key) return &l;
+  return nullptr;
+}
+
+void State::set_link(uint32_t tid, const LocKey& key, uint64_t version) {
+  auto it = std::lower_bound(links.begin(), links.end(), std::pair(tid, key),
+                             [](const Link& l, const std::pair<uint32_t, LocKey>& k) {
+                               return std::pair(l.tid, l.key) < k;
+                             });
+  if (it != links.end() && it->tid == tid && it->key == key) {
+    it->version = version;
+  } else {
+    links.insert(it, {tid, key, version});
+  }
+}
+
+void State::clear_links(uint32_t tid) {
+  std::span<const Link> mine = links_of(tid);
+  auto first = links.begin() + (mine.data() - links.data());
+  links.erase(first, first + static_cast<std::ptrdiff_t>(mine.size()));
+}
+
+// ---------------------------------------------------------------------------
+// Interpreter
+
+Interp::Interp(const CompiledProgram& cp, int array_size)
+    : cp_(cp), array_size_(array_size) {
+  // One spare stack slot: exec() checks the depth before an instruction,
+  // and one instruction pushes at most one value net.
+  uint32_t widest = 0;
+  for (const CompiledProc& p : cp_.procs)
+    widest = std::max(widest, p.frame_size + p.max_stack + 1);
+  stride_ = static_cast<uint32_t>(cp_.tl_vars.size()) + widest;
+}
+
 Value Interp::default_value(synl::TypeId t) const {
   if (!t.valid()) return Value::of_int(0);
   switch (cp_.prog->type(t).kind) {
@@ -58,30 +108,38 @@ Value Interp::default_value(synl::TypeId t) const {
 }
 
 ObjId Interp::alloc_array(State& s, synl::TypeId elem) const {
-  HeapObj arr;
-  arr.cls = synl::ClassId();  // array marker
-  arr.fields.assign(static_cast<size_t>(array_size_), default_value(elem));
-  arr.versions.assign(static_cast<size_t>(array_size_), 0);
-  s.heap.push_back(std::move(arr));
-  return static_cast<ObjId>(s.heap.size());
+  Heap& h = s.heap;
+  ObjHeader arr;  // an invalid class marks an array
+  arr.first = static_cast<uint32_t>(h.cells.size());
+  arr.n = static_cast<uint32_t>(array_size_);
+  h.cells.insert(h.cells.end(), arr.n, default_value(elem));
+  h.versions.insert(h.versions.end(), arr.n, 0);
+  h.objs.push_back(arr);
+  return static_cast<ObjId>(h.objs.size());
 }
 
 ObjId Interp::alloc_object(State& s, synl::ClassId cls) const {
-  HeapObj obj;
-  obj.cls = cls;
   const synl::ClassInfo& info = cp_.prog->cls(cls);
-  for (const synl::FieldInfo& f : info.fields) {
-    if (f.type.valid() && cp_.prog->type(f.type).kind == TypeKind::Array) {
-      // Auto-allocate fixed-size arrays (SYNL has no array literal; the
-      // model checker bounds them, see DESIGN.md).
-      obj.fields.push_back(Value::of_ref(alloc_array(s, cp_.prog->type(f.type).elem)));
-    } else {
-      obj.fields.push_back(default_value(f.type));
-    }
-    obj.versions.push_back(0);
-  }
-  s.heap.push_back(std::move(obj));
-  return static_cast<ObjId>(s.heap.size());
+  auto is_array = [&](const synl::FieldInfo& f) {
+    return f.type.valid() && cp_.prog->type(f.type).kind == TypeKind::Array;
+  };
+  // Auto-allocate fixed-size arrays (SYNL has no array literal; the model
+  // checker bounds them, see DESIGN.md). They take the ids before the
+  // object's, in field order.
+  ObjId next_array = static_cast<ObjId>(s.heap.size()) + 1;
+  for (const synl::FieldInfo& f : info.fields)
+    if (is_array(f)) alloc_array(s, cp_.prog->type(f.type).elem);
+  Heap& h = s.heap;
+  ObjHeader obj;
+  obj.cls = cls;
+  obj.first = static_cast<uint32_t>(h.cells.size());
+  obj.n = static_cast<uint32_t>(info.fields.size());
+  for (const synl::FieldInfo& f : info.fields)
+    h.cells.push_back(is_array(f) ? Value::of_ref(next_array++)
+                                  : default_value(f.type));
+  h.versions.insert(h.versions.end(), obj.n, 0);
+  h.objs.push_back(obj);
+  return static_cast<ObjId>(h.objs.size());
 }
 
 State Interp::initial_state(const std::vector<ThreadSpec>& specs) const {
@@ -91,27 +149,36 @@ State Interp::initial_state(const std::vector<ThreadSpec>& specs) const {
     s.globals.push_back(default_value(cp_.prog->var(v).type));
   s.global_versions.assign(cp_.global_vars.size(), 0);
 
-  for (const ThreadSpec& spec : specs) {
-    Thread t;
-    t.proc = spec.proc;
-    t.pc = 0;
-    SYNAT_ASSERT(spec.proc >= 0 &&
-                     static_cast<size_t>(spec.proc) < cp_.procs.size(),
-                 "bad thread proc index");
-    const CompiledProc& p = cp_.procs[static_cast<size_t>(spec.proc)];
-    SYNAT_ASSERT(spec.args.size() == p.num_params,
-                 "wrong argument count for " + p.name);
-    t.frame.assign(p.frame_size, Value::unit());
-    for (size_t i = 0; i < spec.args.size(); ++i) t.frame[i] = spec.args[i];
-    t.status = ThreadStatus::Runnable;
-    s.threads.push_back(std::move(t));
-
-    std::vector<Value> tls;
-    for (synl::VarId v : cp_.tl_vars)
-      tls.push_back(default_value(cp_.prog->var(v).type));
-    s.tls.push_back(std::move(tls));
+  s.num_tls = static_cast<uint32_t>(cp_.tl_vars.size());
+  s.stride = stride_;
+  s.threads.resize(specs.size());
+  s.tvals.assign(specs.size() * stride_, Value::unit());
+  for (size_t tid = 0; tid < specs.size(); ++tid) {
+    std::span<Value> tls = s.tls(tid);
+    for (size_t i = 0; i < tls.size(); ++i)
+      tls[i] = default_value(cp_.prog->var(cp_.tl_vars[i]).type);
+    start_thread(s, static_cast<int>(tid), specs[tid].proc, specs[tid].args);
   }
   return s;
+}
+
+void Interp::start_thread(State& s, int tid, int proc,
+                          const std::vector<Value>& args) const {
+  SYNAT_ASSERT(proc >= 0 && static_cast<size_t>(proc) < cp_.procs.size(),
+               "bad thread proc index");
+  const CompiledProc& p = cp_.procs[static_cast<size_t>(proc)];
+  SYNAT_ASSERT(args.size() == p.num_params,
+               "wrong argument count for " + p.name);
+  Thread& t = s.threads[static_cast<size_t>(tid)];
+  t.proc = proc;
+  t.pc = 0;
+  t.frame_size = p.frame_size;
+  t.sp = 0;
+  t.status = ThreadStatus::Runnable;
+  t.ret = Value::unit();
+  std::span<Value> frame = s.frame(static_cast<size_t>(tid));
+  std::fill(frame.begin(), frame.end(), Value::unit());
+  std::copy(args.begin(), args.end(), frame.begin());
 }
 
 const Insn& Interp::next_insn(const State& s, int tid) const {
@@ -125,10 +192,10 @@ bool Interp::runnable(const State& s, int tid) const {
   const Insn& insn = next_insn(s, tid);
   if (insn.op == Op::Acquire) {
     // The lock object ref is on top of the stack.
-    if (t.stack.empty()) return true;  // error path; let step report it
-    ObjId o = t.stack.back().ref;
+    if (t.sp == 0) return true;  // error path; let step report it
+    ObjId o = s.stack(static_cast<size_t>(tid))[t.sp - 1].ref;
     if (!s.valid_ref(o)) return true;
-    const HeapObj& obj = s.obj(o);
+    const ObjHeader& obj = s.obj(o).hdr;
     return obj.lock_owner == -1 || obj.lock_owner == tid;
   }
   return true;
@@ -174,17 +241,19 @@ StepResult Interp::step(State& s, int tid, std::string* error) const {
 
 StepResult Interp::exec(State& s, int tid, const Insn& insn,
                         std::string* error) const {
-  Thread& t = s.threads[static_cast<size_t>(tid)];
+  const size_t ut = static_cast<size_t>(tid);
+  Thread& t = s.threads[ut];
   auto fail = [&](const std::string& what) {
     if (error) *error = what + " at " + at(cp_, t);
     return StepResult::Error;
   };
-  auto pop = [&]() {
-    Value v = t.stack.back();
-    t.stack.pop_back();
-    return v;
-  };
-  if (t.stack.size() > 4096) return fail("operand stack overflow");
+  Value* const tls = s.region(ut);
+  Value* const frame = tls + s.num_tls;
+  Value* const stack = frame + t.frame_size;
+  auto push = [&](const Value& v) { stack[t.sp++] = v; };
+  auto pop = [&]() { return stack[--t.sp]; };
+  if (t.sp >= s.stack_capacity(t.frame_size))
+    return fail("operand stack overflow");
 
   // Helpers shared by the location-addressed instruction families. They
   // resolve the cell identity and current value/version.
@@ -205,7 +274,7 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
   auto field_cell = [&](ObjId o, int32_t field) {
     Cell c;
     if (!s.valid_ref(o)) return c;
-    HeapObj& obj = s.obj(o);
+    ObjView obj = s.obj(o);
     if (field < 0 || static_cast<size_t>(field) >= obj.fields.size()) return c;
     c.value = &obj.fields[static_cast<size_t>(field)];
     c.version = &obj.versions[static_cast<size_t>(field)];
@@ -216,7 +285,7 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
   auto elem_cell = [&](ObjId o, int64_t idx) {
     Cell c;
     if (!s.valid_ref(o)) return c;
-    HeapObj& obj = s.obj(o);
+    ObjView obj = s.obj(o);
     if (idx < 0 || static_cast<size_t>(idx) >= obj.fields.size()) return c;
     c.value = &obj.fields[static_cast<size_t>(idx)];
     c.version = &obj.versions[static_cast<size_t>(idx)];
@@ -225,23 +294,23 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
     return c;
   };
 
+  const uint32_t ltid = static_cast<uint32_t>(tid);
   auto do_ll = [&](const Cell& c) {
-    t.links[c.key] = *c.version;
-    t.stack.push_back(*c.value);
+    s.set_link(ltid, c.key, *c.version);
+    push(*c.value);
   };
-  auto do_vl = [&](const Cell& c) {
-    auto it = t.links.find(c.key);
-    t.stack.push_back(
-        Value::of_bool(it != t.links.end() && it->second == *c.version));
+  auto linked = [&](const Cell& c) {
+    const Link* l = s.find_link(ltid, c.key);
+    return l != nullptr && l->version == *c.version;
   };
+  auto do_vl = [&](const Cell& c) { push(Value::of_bool(linked(c))); };
   auto do_sc = [&](const Cell& c, const Value& v) {
-    auto it = t.links.find(c.key);
-    if (it != t.links.end() && it->second == *c.version) {
+    if (linked(c)) {
       *c.value = v;
       ++*c.version;
-      t.stack.push_back(Value::of_bool(true));
+      push(Value::of_bool(true));
     } else {
-      t.stack.push_back(Value::of_bool(false));
+      push(Value::of_bool(false));
     }
   };
   auto do_cas = [&](const Cell& c, const Value& expected, const Value& newv) {
@@ -251,9 +320,9 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
     if (equal) {
       *c.value = newv;
       ++*c.version;  // the "modification counter": CAS bumps it
-      t.stack.push_back(Value::of_bool(true));
+      push(Value::of_bool(true));
     } else {
-      t.stack.push_back(Value::of_bool(false));
+      push(Value::of_bool(false));
     }
   };
 
@@ -261,40 +330,40 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
     case Op::Nop:
       break;
     case Op::PushInt:
-      t.stack.push_back(Value::of_int(insn.imm));
+      push(Value::of_int(insn.imm));
       break;
     case Op::PushBool:
-      t.stack.push_back(Value::of_bool(insn.a != 0));
+      push(Value::of_bool(insn.a != 0));
       break;
     case Op::PushNull:
-      t.stack.push_back(Value::null());
+      push(Value::null());
       break;
     case Op::Pop:
       pop();
       break;
     case Op::LoadLocal:
-      t.stack.push_back(t.frame[static_cast<size_t>(insn.a)]);
+      push(frame[insn.a]);
       break;
     case Op::StoreLocal:
-      t.frame[static_cast<size_t>(insn.a)] = pop();
+      frame[insn.a] = pop();
       break;
     case Op::LoadGlobal:
-      t.stack.push_back(s.globals[static_cast<size_t>(insn.a)]);
+      push(s.globals[static_cast<size_t>(insn.a)]);
       break;
     case Op::StoreGlobal:
       s.globals[static_cast<size_t>(insn.a)] = pop();
       break;
     case Op::LoadTL:
-      t.stack.push_back(s.tls[static_cast<size_t>(tid)][static_cast<size_t>(insn.a)]);
+      push(tls[insn.a]);
       break;
     case Op::StoreTL:
-      s.tls[static_cast<size_t>(tid)][static_cast<size_t>(insn.a)] = pop();
+      tls[insn.a] = pop();
       break;
     case Op::LoadField: {
       ObjId o = pop().ref;
       Cell c = field_cell(o, insn.a);
       if (!c.ok) return fail("null or invalid field access");
-      t.stack.push_back(*c.value);
+      push(*c.value);
       break;
     }
     case Op::StoreField: {
@@ -310,7 +379,7 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
       ObjId o = pop().ref;
       Cell c = elem_cell(o, idx);
       if (!c.ok) return fail("array access out of bounds or null");
-      t.stack.push_back(*c.value);
+      push(*c.value);
       break;
     }
     case Op::StoreElem: {
@@ -323,21 +392,21 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
       break;
     }
     case Op::New:
-      t.stack.push_back(Value::of_ref(
+      push(Value::of_ref(
           alloc_object(s, synl::ClassId(static_cast<uint32_t>(insn.a)))));
       break;
     case Op::Binary: {
       Value b = pop();
       Value a = pop();
-      t.stack.push_back(eval_binary(static_cast<BinOp>(insn.a), a, b));
+      push(eval_binary(static_cast<BinOp>(insn.a), a, b));
       break;
     }
     case Op::Unary: {
       Value a = pop();
       if (static_cast<UnOp>(insn.a) == UnOp::Not) {
-        t.stack.push_back(Value::of_bool(!a.truthy()));
+        push(Value::of_bool(!a.truthy()));
       } else {
-        t.stack.push_back(Value::of_int(-a.i));
+        push(Value::of_int(-a.i));
       }
       break;
     }
@@ -433,10 +502,10 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
     }
     case Op::Acquire: {
       // Do not consume anything unless the lock is available.
-      if (t.stack.empty()) return fail("acquire without lock operand");
-      ObjId o = t.stack.back().ref;
+      if (t.sp == 0) return fail("acquire without lock operand");
+      ObjId o = stack[t.sp - 1].ref;
       if (!s.valid_ref(o)) return fail("acquire on null");
-      HeapObj& obj = s.obj(o);
+      ObjHeader& obj = s.obj(o).hdr;
       if (obj.lock_owner != -1 && obj.lock_owner != tid)
         return StepResult::Blocked;
       pop();
@@ -447,7 +516,7 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
     case Op::Release: {
       ObjId o = pop().ref;
       if (!s.valid_ref(o)) return fail("release on null");
-      HeapObj& obj = s.obj(o);
+      ObjHeader& obj = s.obj(o).hdr;
       if (obj.lock_owner != tid) return fail("release of unowned lock");
       if (--obj.lock_depth == 0) obj.lock_owner = -1;
       break;
@@ -470,9 +539,9 @@ StepResult Interp::exec(State& s, int tid, const Insn& insn,
       t.status = ThreadStatus::Done;
       // A finished thread never runs again: drop its frame, stack and links
       // so they neither root garbage nor differentiate states.
-      t.frame.clear();
-      t.stack.clear();
-      t.links.clear();
+      t.frame_size = 0;
+      t.sp = 0;
+      s.clear_links(ltid);
       ++t.pc;
       return StepResult::Ok;
     }

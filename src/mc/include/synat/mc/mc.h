@@ -12,15 +12,22 @@
 // order (symmetry on object identity) and replaces absolute LL/SC version
 // counters with validity bits, so states differing only in allocation
 // history or version magnitudes coincide. Seen-state storage keeps 64-bit
-// hashes of the canonical serialization (hash compaction, as in SPIN; the
-// collision probability at our state counts is negligible and the technique
-// is documented in EXPERIMENTS.md).
+// hashes of the canonical form (hash compaction, as in SPIN; the collision
+// probability at our state counts is negligible and the technique is
+// documented in EXPERIMENTS.md).
+//
+// The canonical form exists twice. `canonicalize()` is the reference
+// definition: a readable byte serialization, allocated per call. The
+// exploration loop uses `canonical_key()`, a compact word encoding of the
+// same information written into a buffer the checker reuses; it induces
+// exactly the same equivalence on states (tests/mc/test_key.cpp checks
+// this on every state of the E2 and E5 runs).
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "synat/interp/interp.h"
@@ -68,8 +75,9 @@ struct Result {
   uint64_t final_states = 0;
   bool error_found = false;
   std::string error;
-  bool hit_state_limit = false;
+  bool hit_state_limit = false;  ///< stopped with a further distinct state
   double seconds = 0;
+  uint64_t seen_bytes = 0;  ///< size of the seen-state table at the end
 
   std::string summary() const;
 };
@@ -80,9 +88,18 @@ class ModelChecker {
 
   Result run(const RunSpec& spec);
 
-  /// Canonical serialization of a state (exposed for tests: isomorphic
-  /// states must serialize identically).
+  /// Canonical serialization of a state, the reference definition of state
+  /// identity (exposed for tests: isomorphic states must serialize
+  /// identically).
   std::string canonicalize(const State& s) const;
+
+  /// The fast canonical key `run()` hashes: equal for two states iff their
+  /// `canonicalize()` bytes are equal. The words live in a buffer of this
+  /// checker, valid until its next call.
+  std::span<const uint64_t> canonical_key(const State& s);
+
+  /// The 64-bit hash of a canonical key kept in the seen set.
+  static uint64_t hash_key(std::span<const uint64_t> key);
 
   /// Resolves a global variable's slot by name (-1 if absent); property
   /// callbacks use this to inspect the heap.
@@ -91,13 +108,20 @@ class ModelChecker {
   const Interp& interp() const { return interp_; }
 
  private:
-  std::vector<int> choices(const State& s) const;
+  /// The threads to expand at `s`, written to `out`.
+  void choices(const State& s, std::vector<int>& out) const;
   bool thread_inside_atomic(const State& s, int tid) const;
 
   const CompiledProgram& cp_;
   Options opts_;
   Interp interp_;
   std::vector<bool> proc_atomic_;  ///< per compiled proc
+
+  // canonical_key()'s buffers, reused from state to state.
+  std::vector<uint32_t> canon_;       ///< raw ObjId -> canonical id, 0 unseen
+  std::vector<interp::ObjId> order_;  ///< reachable objects, canonical order
+  std::vector<uint64_t> key_;
+  std::vector<std::pair<uint64_t, uint64_t>> link_words_;
 };
 
 }  // namespace synat::mc

@@ -7,7 +7,6 @@
 
 namespace synat::mc {
 
-using interp::HeapObj;
 using interp::LocKey;
 using interp::ObjId;
 using interp::StepResult;
@@ -47,31 +46,50 @@ int ModelChecker::global_slot(std::string_view name) const {
 
 namespace {
 
+/// Calls `touch` on every heap root of `s`, in the order that fixes the
+/// canonical object numbering: globals, then per thread (live threads
+/// only) frame, stack, link targets and thread-locals, then its return
+/// value. A link keeps its object in the identity: an LL'd cell can still
+/// be SC'd.
+template <class Touch>
+void for_each_root(const State& s, Touch&& touch) {
+  for (const Value& v : s.globals) touch(v);
+  for (size_t tid = 0; tid < s.threads.size(); ++tid) {
+    const Thread& t = s.threads[tid];
+    if (t.status == ThreadStatus::Runnable) {
+      for (const Value& v : s.frame(tid)) touch(v);
+      for (const Value& v : s.stack(tid)) touch(v);
+      for (const interp::Link& l : s.links_of(static_cast<uint32_t>(tid))) {
+        if (l.key.kind != LocKey::Global) touch(Value::of_ref(l.key.a));
+      }
+      // Thread-locals of finished threads can never be read again (each
+      // thread runs its procedure once), so only live threads' count.
+      for (const Value& v : s.tls(tid)) touch(v);
+    }
+    touch(t.ret);
+  }
+}
+
+/// Whether the reservation still validates: absolute version numbers never
+/// enter the state identity, only this bit.
+bool link_valid(const State& s, const interp::Link& l) {
+  uint64_t current = l.key.kind == LocKey::Global
+                         ? s.global_versions[l.key.a]
+                         : s.obj(l.key.a).versions[l.key.b];
+  return l.version == current;
+}
+
+/// The reference serialization: every field of the identity as a
+/// fixed-width 8-byte word, allocated afresh per call.
 class Canonicalizer {
  public:
   explicit Canonicalizer(const State& s) : s_(s) {}
 
   std::string run() {
-    // Deterministic root order: globals, then per thread frame/stack/tls/ret.
-    for (const Value& v : s_.globals) touch(v);
-    for (size_t tid = 0; tid < s_.threads.size(); ++tid) {
-      const Thread& t = s_.threads[tid];
-      if (t.status == ThreadStatus::Runnable) {
-        for (const Value& v : t.frame) touch(v);
-        for (const Value& v : t.stack) touch(v);
-        for (const auto& [key, ver] : t.links) {
-          if (key.kind != LocKey::Global) touch(Value::of_ref(key.a));
-        }
-        // Thread-locals of finished threads can never be read again (each
-        // thread runs its procedure once), so only live threads' count.
-        for (const Value& v : s_.tls[tid]) touch(v);
-      }
-      touch(t.ret);
-    }
+    for_each_root(s_, [this](const Value& v) { touch(v); });
     // BFS closure over heap references.
     for (size_t i = 0; i < order_.size(); ++i) {
-      const HeapObj& obj = s_.obj(order_[i]);
-      for (const Value& v : obj.fields) touch(v);
+      for (const Value& v : s_.obj(order_[i]).fields) touch(v);
     }
 
     // Serialize.
@@ -79,10 +97,10 @@ class Canonicalizer {
     for (const Value& v : s_.globals) put_value(v);
     put(static_cast<uint64_t>(order_.size()));
     for (ObjId o : order_) {
-      const HeapObj& obj = s_.obj(o);
-      put(obj.cls.valid() ? obj.cls.idx + 1 : 0u);
-      put(static_cast<uint64_t>(static_cast<int64_t>(obj.lock_owner)));
-      put(obj.lock_depth);
+      interp::ConstObjView obj = s_.obj(o);
+      put(obj.hdr.cls.valid() ? obj.hdr.cls.idx + 1 : 0u);
+      put(static_cast<uint64_t>(static_cast<int64_t>(obj.hdr.lock_owner)));
+      put(obj.hdr.lock_depth);
       put(static_cast<uint64_t>(obj.fields.size()));
       for (const Value& v : obj.fields) put_value(v);
     }
@@ -98,13 +116,13 @@ class Canonicalizer {
       if (!live) continue;
       put(static_cast<uint64_t>(t.proc));
       put(t.pc);
-      put(static_cast<uint64_t>(t.frame.size()));
-      for (const Value& v : t.frame) put_value(v);
-      put(static_cast<uint64_t>(t.stack.size()));
-      for (const Value& v : t.stack) put_value(v);
-      put(static_cast<uint64_t>(s_.tls[tid].size()));
-      for (const Value& v : s_.tls[tid]) put_value(v);
-      put_links(t);
+      put(static_cast<uint64_t>(s_.frame(tid).size()));
+      for (const Value& v : s_.frame(tid)) put_value(v);
+      put(static_cast<uint64_t>(s_.stack(tid).size()));
+      for (const Value& v : s_.stack(tid)) put_value(v);
+      put(static_cast<uint64_t>(s_.tls(tid).size()));
+      for (const Value& v : s_.tls(tid)) put_value(v);
+      put_links(static_cast<uint32_t>(tid));
     }
     return std::move(out_);
   }
@@ -137,8 +155,9 @@ class Canonicalizer {
   }
 
   /// Links serialize as (canonical key, still-valid bit), sorted by the
-  /// canonical key: absolute version numbers never enter the state identity.
-  void put_links(const Thread& t) {
+  /// canonical key. Every link target of a live thread is a root, so it
+  /// has a canonical id.
+  void put_links(uint32_t tid) {
     struct CanonLink {
       uint8_t kind;
       uint32_t a, b;
@@ -146,21 +165,12 @@ class Canonicalizer {
       auto key() const { return std::tuple(kind, a, b); }
     };
     std::vector<CanonLink> links;
-    for (const auto& [key, ver] : t.links) {
+    for (const interp::Link& l : s_.links_of(tid)) {
       CanonLink cl;
-      cl.kind = key.kind;
-      cl.a = key.kind == LocKey::Global ? key.a : canon_ref(key.a);
-      cl.b = key.b;
-      uint64_t current;
-      if (key.kind == LocKey::Global) {
-        current = s_.global_versions[key.a];
-      } else {
-        current = s_.obj(key.a).versions[key.b];
-      }
-      cl.valid = ver == current ? 1 : 0;
-      // Stale links on unreachable objects can never be validated again and
-      // are dropped from the identity entirely.
-      if (key.kind != LocKey::Global && cl.a == 0) continue;
+      cl.kind = l.key.kind;
+      cl.a = l.key.kind == LocKey::Global ? l.key.a : canon_ref(l.key.a);
+      cl.b = l.key.b;
+      cl.valid = link_valid(s_, l) ? 1 : 0;
       links.push_back(cl);
     }
     std::sort(links.begin(), links.end(),
@@ -183,10 +193,109 @@ class Canonicalizer {
   std::string out_;
 };
 
+/// 64x64 -> 128-bit multiply, folded.
+inline uint64_t mum(uint64_t a, uint64_t b) {
+  const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(r) ^ static_cast<uint64_t>(r >> 64);
+}
+
 }  // namespace
 
 std::string ModelChecker::canonicalize(const State& s) const {
   return Canonicalizer(s).run();
+}
+
+// The fast key carries the reference serialization's information, word for
+// word decodable from the front, so it is equal exactly when the reference
+// bytes are:
+//   - a value is one word, (payload << 3) | kind, where the payload is the
+//     canonical id of a reference and the integer otherwise; a payload
+//     outside 61 signed bits is escaped as the word 4 | kind followed by
+//     the payload;
+//   - the global count, thread count and each thread-local count are fixed
+//     by the program and left out; frame sizes come with each live thread;
+//   - small header fields are packed two to a word.
+std::span<const uint64_t> ModelChecker::canonical_key(const State& s) {
+  if (canon_.size() <= s.heap.size()) canon_.resize(s.heap.size() + 1, 0);
+  order_.clear();
+  key_.clear();
+  auto touch = [this](const Value& v) {
+    if (v.kind != Value::Ref || v.ref == interp::kNull || canon_[v.ref] != 0)
+      return;
+    order_.push_back(v.ref);
+    canon_[v.ref] = static_cast<uint32_t>(order_.size());
+  };
+  for_each_root(s, touch);
+  for (size_t i = 0; i < order_.size(); ++i) {
+    for (const Value& v : s.obj(order_[i]).fields) touch(v);
+  }
+
+  auto put_value = [this](const Value& v) {
+    const uint64_t payload = v.kind == Value::Ref
+                                 ? (v.ref == interp::kNull ? 0 : canon_[v.ref])
+                                 : static_cast<uint64_t>(v.i);
+    if ((payload + (uint64_t{1} << 60)) >> 61 == 0) {
+      key_.push_back(payload << 3 | v.kind);
+    } else {
+      key_.push_back(4 | v.kind);
+      key_.push_back(payload);
+    }
+  };
+  for (const Value& v : s.globals) put_value(v);
+  key_.push_back(order_.size());
+  for (ObjId o : order_) {
+    interp::ConstObjView obj = s.obj(o);
+    const uint32_t cls = obj.hdr.cls.valid() ? obj.hdr.cls.idx + 1 : 0u;
+    key_.push_back(cls | uint64_t{obj.hdr.n} << 32);
+    key_.push_back(static_cast<uint32_t>(obj.hdr.lock_owner) |
+                   uint64_t{obj.hdr.lock_depth} << 32);
+    for (const Value& v : obj.fields) put_value(v);
+  }
+  for (size_t tid = 0; tid < s.threads.size(); ++tid) {
+    const Thread& t = s.threads[tid];
+    if (t.status != ThreadStatus::Runnable) {
+      key_.push_back(static_cast<uint64_t>(t.status));
+      put_value(t.ret);
+      continue;
+    }
+    const uint32_t utid = static_cast<uint32_t>(tid);
+    std::span<const interp::Link> links = s.links_of(utid);
+    key_.push_back(static_cast<uint64_t>(t.status) |
+                   uint64_t{static_cast<uint32_t>(t.proc)} << 8);
+    put_value(t.ret);
+    key_.push_back(t.pc | uint64_t{t.sp} << 32);
+    key_.push_back(t.frame_size | uint64_t{links.size()} << 32);
+    for (const Value& v : s.frame(tid)) put_value(v);
+    for (const Value& v : s.stack(tid)) put_value(v);
+    for (const Value& v : s.tls(tid)) put_value(v);
+    // (kind, canonical target, cell, valid bit), sorted as the reference
+    // sorts them.
+    link_words_.clear();
+    for (const interp::Link& l : links) {
+      const uint32_t a =
+          l.key.kind == LocKey::Global ? l.key.a : canon_[l.key.a];
+      link_words_.emplace_back(uint64_t{l.key.kind} << 32 | a,
+                               uint64_t{l.key.b} << 1 | link_valid(s, l));
+    }
+    std::sort(link_words_.begin(), link_words_.end());
+    for (const auto& [w0, w1] : link_words_) {
+      key_.push_back(w0);
+      key_.push_back(w1);
+    }
+  }
+  for (ObjId o : order_) canon_[o] = 0;
+  return key_;
+}
+
+uint64_t ModelChecker::hash_key(std::span<const uint64_t> key) {
+  // wyhash-style: one folded 128-bit multiply per pair of words.
+  constexpr uint64_t k0 = 0xa0761d6478bd642full, k1 = 0xe7037ed1a0b428dbull,
+                     k2 = 0x8ebc6af09c88c6e3ull;
+  uint64_t h = k2;
+  size_t i = 0;
+  for (; i + 1 < key.size(); i += 2) h = mum(key[i] ^ k0, key[i + 1] ^ h);
+  if (i < key.size()) h = mum(key[i] ^ k0, h ^ k1);
+  return mum(h ^ k2, static_cast<uint64_t>(key.size()) ^ k1);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,41 +308,89 @@ bool ModelChecker::thread_inside_atomic(const State& s, int tid) const {
   return t.pc > 0;  // entered but not finished
 }
 
-std::vector<int> ModelChecker::choices(const State& s) const {
+void ModelChecker::choices(const State& s, std::vector<int>& out) const {
   const int n = static_cast<int>(s.threads.size());
+  out.clear();
 
   // Atomic-block reduction: a thread inside a declared-atomic procedure
   // runs to completion before anyone else is considered.
   for (int tid = 0; tid < n; ++tid) {
-    if (thread_inside_atomic(s, tid) && interp_.runnable(s, tid))
-      return {tid};
+    if (thread_inside_atomic(s, tid) && interp_.runnable(s, tid)) {
+      out.push_back(tid);
+      return;
+    }
   }
 
   // Ample-set POR: commit one invisible instruction without interleaving.
   if (opts_.por) {
     for (int tid = 0; tid < n; ++tid) {
-      if (interp_.runnable(s, tid) && interp_.next_insn_invisible(s, tid))
-        return {tid};
+      if (interp_.runnable(s, tid) && interp_.next_insn_invisible(s, tid)) {
+        out.push_back(tid);
+        return;
+      }
     }
   }
 
-  std::vector<int> out;
   for (int tid = 0; tid < n; ++tid) {
     if (interp_.runnable(s, tid)) out.push_back(tid);
   }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Exploration
 
+namespace {
+
+/// Open-addressing set of 64-bit state hashes: linear probing, at most
+/// three quarters full, doubling from a small start (never sized from the
+/// state limit). 0 marks an empty slot, so a hash of 0 is stored as 1.
+class SeenSet {
+ public:
+  /// True if `h` was not in the set.
+  bool insert(uint64_t h) {
+    if (h == 0) h = 1;
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == h) return false;
+      if (slots_[i] == 0) {
+        slots_[i] = h;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+  uint64_t bytes() const { return slots_.size() * sizeof(uint64_t); }
+
+ private:
+  void grow() {
+    std::vector<uint64_t> old(std::max<size_t>(1024, slots_.size() * 2), 0);
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (uint64_t h : old) {
+      if (h == 0) continue;
+      size_t i = h & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = h;
+    }
+  }
+
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
 Result ModelChecker::run(const RunSpec& spec) {
   Result result;
+  SeenSet seen;
   auto t0 = std::chrono::steady_clock::now();
   auto finish = [&]() {
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    result.seen_bytes = seen.bytes();
     return result;
   };
   auto report = [&](const std::string& msg) {
@@ -250,30 +407,24 @@ Result ModelChecker::run(const RunSpec& spec) {
   }
   State init = interp_.initial_state(specs);
 
+  // Runs `proc` to completion on thread `tid`, then points the thread back
+  // at the start of its main procedure (thread-locals and the heap keep
+  // what the setup wrote).
   auto run_setup = [&](int tid, const std::string& proc,
                        const std::vector<Value>& args) -> bool {
     int idx = cp_.find_index(proc);
     SYNAT_ASSERT(idx >= 0, "unknown setup procedure: " + proc);
-    Thread& t = init.threads[static_cast<size_t>(tid)];
-    Thread saved = t;
-    const interp::CompiledProc& p = cp_.procs[static_cast<size_t>(idx)];
-    SYNAT_ASSERT(args.size() == p.num_params,
+    SYNAT_ASSERT(args.size() == cp_.procs[static_cast<size_t>(idx)].num_params,
                  "wrong setup argument count for " + proc);
-    t.proc = idx;
-    t.pc = 0;
-    t.stack.clear();
-    t.frame.assign(p.frame_size, Value::unit());
-    for (size_t i = 0; i < args.size(); ++i) t.frame[i] = args[i];
-    t.status = ThreadStatus::Runnable;
+    interp_.start_thread(init, tid, idx, args);
     std::string err;
     StepResult r = interp_.run_thread(init, tid, &err);
     if (r != StepResult::Done) {
       report("setup " + proc + " failed: " + err);
       return false;
     }
-    // Restore the main procedure (thread-locals and links persist).
-    saved.links = t.links;
-    t = std::move(saved);
+    const interp::ThreadSpec& main = specs[static_cast<size_t>(tid)];
+    interp_.start_thread(init, tid, main.proc, main.args);
     return true;
   };
 
@@ -286,20 +437,6 @@ Result ModelChecker::run(const RunSpec& spec) {
     if (!run_setup(static_cast<int>(tid), plan.init_proc, plan.init_args))
       return finish();
   }
-
-  // DFS with hash-compacted seen set.
-  std::unordered_set<uint64_t> seen;
-  auto canon_hash = [&](const State& s) {
-    std::string bytes = canonicalize(s);
-    return hash_bytes(bytes);
-  };
-
-  struct Frame {
-    State state;
-    std::vector<int> tids;
-    size_t next = 0;
-  };
-  std::vector<Frame> stack;
 
   auto check_state = [&](const State& s, const std::vector<int>& tids) -> bool {
     if (opts_.invariant) {
@@ -328,24 +465,34 @@ Result ModelChecker::run(const RunSpec& spec) {
     return true;
   };
 
-  seen.insert(canon_hash(init));
+  // DFS over hash-compacted states. Frames stay allocated when popped: a
+  // successor is copied into the slot above the top, whose vectors keep
+  // their capacity, and a duplicate is simply overwritten by the next one.
+  struct Frame {
+    State state;
+    std::vector<int> tids;
+    size_t next = 0;
+  };
+  std::vector<Frame> frames(1);
+  frames[0].state = std::move(init);
+  seen.insert(hash_key(canonical_key(frames[0].state)));
   result.states = 1;
-  {
-    std::vector<int> tids = choices(init);
-    if (!check_state(init, tids)) return finish();
-    stack.push_back({std::move(init), std::move(tids), 0});
-  }
+  choices(frames[0].state, frames[0].tids);
+  if (!check_state(frames[0].state, frames[0].tids)) return finish();
 
-  while (!stack.empty()) {
-    Frame& top = stack.back();
-    if (top.next >= top.tids.size()) {
-      stack.pop_back();
+  size_t depth = 1;
+  std::string err;
+  while (depth > 0) {
+    if (frames[depth - 1].next >= frames[depth - 1].tids.size()) {
+      --depth;
       continue;
     }
+    if (frames.size() == depth) frames.emplace_back();
+    Frame& top = frames[depth - 1];
+    Frame& succ = frames[depth];
     int tid = top.tids[top.next++];
-    State succ = top.state;  // copy
-    std::string err;
-    StepResult r = interp_.step(succ, tid, &err);
+    succ.state = top.state;  // reuses succ's capacity
+    StepResult r = interp_.step(succ.state, tid, &err);
     ++result.transitions;
     switch (r) {
       case StepResult::Ok:
@@ -358,16 +505,16 @@ Result ModelChecker::run(const RunSpec& spec) {
         report(err);
         return finish();
     }
-    uint64_t h = canon_hash(succ);
-    if (!seen.insert(h).second) continue;
-    ++result.states;
-    if (result.states > opts_.max_states) {
+    if (!seen.insert(hash_key(canonical_key(succ.state)))) continue;
+    if (result.states == opts_.max_states) {
       result.hit_state_limit = true;
       return finish();
     }
-    std::vector<int> tids = choices(succ);
-    if (!check_state(succ, tids)) return finish();
-    stack.push_back({std::move(succ), std::move(tids), 0});
+    ++result.states;
+    choices(succ.state, succ.tids);
+    succ.next = 0;
+    if (!check_state(succ.state, succ.tids)) return finish();
+    ++depth;
   }
   return finish();
 }

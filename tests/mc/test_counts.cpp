@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 #include "synat/corpus/corpus.h"
 #include "synat/mc/mc.h"
@@ -113,6 +114,29 @@ TEST(McCounts, E2IncorrectAddNodeFoundBothWays) {
     EXPECT_TRUE(r.error_found) << "atomic=" << atomic;
     EXPECT_EQ(r.states, 62u) << "atomic=" << atomic;
   }
+}
+
+TEST(McCounts, StateLimitStopsAtExactlyMaxStates) {
+  // The limit counts states, and the flag means a further distinct state
+  // exists: one below the exhaustive count hits it, the count itself not.
+  Result under = run_gh(2, false, false, 25'772);
+  EXPECT_EQ(under.states, 25'772u);
+  EXPECT_TRUE(under.hit_state_limit);
+  Result exact = run_gh(2, false, false, 25'773);
+  EXPECT_EQ(exact.states, 25'773u);
+  EXPECT_FALSE(exact.hit_state_limit);
+}
+
+TEST(Mc, ConcurrentCheckersAgree) {
+  // Checkers on different threads share the compiled program and nothing
+  // else: each keeps its own state buffers.
+  constexpr int kThreads = 4;
+  uint64_t states[kThreads] = {};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&states, i] { states[i] = run_gh(2, false, false).states; });
+  for (std::thread& t : threads) t.join();
+  for (uint64_t n : states) EXPECT_EQ(n, 25'773u);
 }
 
 }  // namespace

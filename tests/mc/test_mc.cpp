@@ -24,6 +24,18 @@ struct Fixture {
   }
 };
 
+/// Both canonical forms of two states agree: the reference serialization
+/// and the checker's fast key.
+void expect_same_identity(const CompiledProgram& cp, const State& a,
+                          const State& b) {
+  ModelChecker mc(cp, {});
+  EXPECT_EQ(mc.canonicalize(a), mc.canonicalize(b));
+  std::span<const uint64_t> ka = mc.canonical_key(a);
+  std::vector<uint64_t> key_a(ka.begin(), ka.end());
+  std::span<const uint64_t> kb = mc.canonical_key(b);
+  EXPECT_EQ(key_a, std::vector<uint64_t>(kb.begin(), kb.end()));
+}
+
 TEST(Canonical, AllocationOrderIrrelevant) {
   // Two schedules that allocate the "same" heap in different orders must
   // canonicalize identically.
@@ -47,8 +59,7 @@ TEST(Canonical, AllocationOrderIrrelevant) {
   ASSERT_EQ(in.run_thread(s2, 1, &err), interp::StepResult::Done);
   ASSERT_EQ(in.run_thread(s2, 0, &err), interp::StepResult::Done);
 
-  ModelChecker mc(f.cp, {});
-  EXPECT_EQ(mc.canonicalize(s1), mc.canonicalize(s2));
+  expect_same_identity(f.cp, s1, s2);
 }
 
 TEST(Canonical, GarbageIgnored) {
@@ -68,9 +79,39 @@ TEST(Canonical, GarbageIgnored) {
   ASSERT_EQ(in.run_thread(s1, 0, &err), interp::StepResult::Done);
   interp::State s2 = in.initial_state({{f.cp.find_index("Direct"), {}}});
   ASSERT_EQ(in.run_thread(s2, 0, &err), interp::StepResult::Done);
-  ModelChecker mc(f.cp, {});
   // The garbage `tmp` object must not differentiate the states.
-  EXPECT_EQ(mc.canonicalize(s1), mc.canonicalize(s2));
+  expect_same_identity(f.cp, s1, s2);
+}
+
+TEST(Canonical, DistinctStatesDistinctKeys) {
+  // A different value, a different heap shape and a different pc each
+  // separate two states in both forms.
+  Fixture f(R"(
+    class Node { int v; Node next; }
+    global Node G;
+    proc Link(int v) { G := new Node; G.v := v; G.next := new Node; }
+  )");
+  interp::Interp in(f.cp);
+  std::string err;
+  auto run = [&](int v) {
+    interp::State s = in.initial_state({{f.cp.find_index("Link"), {Value::of_int(v)}}});
+    EXPECT_EQ(in.run_thread(s, 0, &err), interp::StepResult::Done) << err;
+    return s;
+  };
+  interp::State start = in.initial_state({{f.cp.find_index("Link"), {Value::of_int(1)}}});
+  interp::State stepped = start;
+  ASSERT_EQ(in.step(stepped, 0, &err), interp::StepResult::Ok);
+  std::vector<interp::State> states = {run(1), run(2), start, stepped};
+  ModelChecker mc(f.cp, {});
+  for (size_t i = 0; i < states.size(); ++i) {
+    for (size_t j = i + 1; j < states.size(); ++j) {
+      EXPECT_NE(mc.canonicalize(states[i]), mc.canonicalize(states[j]));
+      std::span<const uint64_t> ki = mc.canonical_key(states[i]);
+      std::vector<uint64_t> key_i(ki.begin(), ki.end());
+      std::span<const uint64_t> kj = mc.canonical_key(states[j]);
+      EXPECT_NE(key_i, std::vector<uint64_t>(kj.begin(), kj.end()));
+    }
+  }
 }
 
 TEST(Mc, CountsStatesOfTinyRace) {
