@@ -64,7 +64,7 @@ enum class ThreadStatus : uint8_t {
 };
 
 struct Thread {
-  int32_t proc = -1;  ///< index into CompiledProgram::procs
+  int proc = -1;  ///< index into CompiledProgram::procs
   uint32_t pc = 0;
   uint32_t frame_size = 0;  ///< frame slots of `proc`
   uint32_t sp = 0;          ///< operand stack depth

@@ -98,9 +98,6 @@ class ModelChecker {
   /// checker, valid until its next call.
   std::span<const uint64_t> canonical_key(const State& s);
 
-  /// The 64-bit hash of a canonical key kept in the seen set.
-  static uint64_t hash_key(std::span<const uint64_t> key);
-
   /// Resolves a global variable's slot by name (-1 if absent); property
   /// callbacks use this to inspect the heap.
   int global_slot(std::string_view name) const;

@@ -46,30 +46,6 @@ int ModelChecker::global_slot(std::string_view name) const {
 
 namespace {
 
-/// Calls `touch` on every heap root of `s`, in the order that fixes the
-/// canonical object numbering: globals, then per thread (live threads
-/// only) frame, stack, link targets and thread-locals, then its return
-/// value. A link keeps its object in the identity: an LL'd cell can still
-/// be SC'd.
-template <class Touch>
-void for_each_root(const State& s, Touch&& touch) {
-  for (const Value& v : s.globals) touch(v);
-  for (size_t tid = 0; tid < s.threads.size(); ++tid) {
-    const Thread& t = s.threads[tid];
-    if (t.status == ThreadStatus::Runnable) {
-      for (const Value& v : s.frame(tid)) touch(v);
-      for (const Value& v : s.stack(tid)) touch(v);
-      for (const interp::Link& l : s.links_of(static_cast<uint32_t>(tid))) {
-        if (l.key.kind != LocKey::Global) touch(Value::of_ref(l.key.a));
-      }
-      // Thread-locals of finished threads can never be read again (each
-      // thread runs its procedure once), so only live threads' count.
-      for (const Value& v : s.tls(tid)) touch(v);
-    }
-    touch(t.ret);
-  }
-}
-
 /// Whether the reservation still validates: absolute version numbers never
 /// enter the state identity, only this bit.
 bool link_valid(const State& s, const interp::Link& l) {
@@ -86,7 +62,24 @@ class Canonicalizer {
   explicit Canonicalizer(const State& s) : s_(s) {}
 
   std::string run() {
-    for_each_root(s_, [this](const Value& v) { touch(v); });
+    // Deterministic root order: globals, then per thread frame, stack, link
+    // targets, thread-locals (live threads only) and return value. A link
+    // keeps its object in the identity: an LL'd cell can still be SC'd.
+    for (const Value& v : s_.globals) touch(v);
+    for (size_t tid = 0; tid < s_.threads.size(); ++tid) {
+      const Thread& t = s_.threads[tid];
+      if (t.status == ThreadStatus::Runnable) {
+        for (const Value& v : s_.frame(tid)) touch(v);
+        for (const Value& v : s_.stack(tid)) touch(v);
+        for (const interp::Link& l : s_.links_of(static_cast<uint32_t>(tid))) {
+          if (l.key.kind != LocKey::Global) touch(Value::of_ref(l.key.a));
+        }
+        // Thread-locals of finished threads can never be read again (each
+        // thread runs its procedure once), so only live threads' count.
+        for (const Value& v : s_.tls(tid)) touch(v);
+      }
+      touch(t.ret);
+    }
     // BFS closure over heap references.
     for (size_t i = 0; i < order_.size(); ++i) {
       for (const Value& v : s_.obj(order_[i]).fields) touch(v);
@@ -199,103 +192,124 @@ inline uint64_t mum(uint64_t a, uint64_t b) {
   return static_cast<uint64_t>(r) ^ static_cast<uint64_t>(r >> 64);
 }
 
+/// The 64-bit hash of a canonical key kept in the seen set.
+uint64_t hash_key(std::span<const uint64_t> key) {
+  // wyhash-style: one folded 128-bit multiply per pair of words, on two
+  // independent lanes so that consecutive multiplies overlap.
+  constexpr uint64_t k0 = 0xa0761d6478bd642full, k1 = 0xe7037ed1a0b428dbull,
+                     k2 = 0x8ebc6af09c88c6e3ull, k3 = 0x589965cc75374cc3ull;
+  const size_t n = key.size();
+  uint64_t h0 = k2, h1 = k3;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    h0 = mum(key[i] ^ k0, key[i + 1] ^ h0);
+    h1 = mum(key[i + 2] ^ k1, key[i + 3] ^ h1);
+  }
+  for (; i + 2 <= n; i += 2) h0 = mum(key[i] ^ k0, key[i + 1] ^ h0);
+  if (i < n) h1 = mum(key[i] ^ k1, h1 ^ k0);
+  return mum(mum(h0 ^ k2, h1 ^ k3), static_cast<uint64_t>(n) ^ k1);
+}
+
 }  // namespace
 
 std::string ModelChecker::canonicalize(const State& s) const {
   return Canonicalizer(s).run();
 }
 
-// The fast key carries the reference serialization's information, word for
-// word decodable from the front, so it is equal exactly when the reference
-// bytes are:
+// The fast key carries the reference serialization's information in one
+// pass, numbering objects as they are first met in the reference's root
+// and BFS order. It is decodable word by word from the front, so it is
+// equal exactly when the reference bytes are:
 //   - a value is one word, (payload << 3) | kind, where the payload is the
 //     canonical id of a reference and the integer otherwise; a payload
 //     outside 61 signed bits is escaped as the word 4 | kind followed by
 //     the payload;
-//   - the global count, thread count and each thread-local count are fixed
-//     by the program and left out; frame sizes come with each live thread;
-//   - small header fields are packed two to a word.
+//   - globals, then each thread, then the reachable objects in canonical
+//     order (their count is the key's remaining length);
+//   - a live thread is (status | proc << 8), (pc | sp << 32),
+//     (frame size | link count << 32), frame, stack, thread-locals, return
+//     value and links; any other thread is its status and return value;
+//   - the global count, thread count and thread-local count are fixed by
+//     the program and left out.
 std::span<const uint64_t> ModelChecker::canonical_key(const State& s) {
-  if (canon_.size() <= s.heap.size()) canon_.resize(s.heap.size() + 1, 0);
-  order_.clear();
-  key_.clear();
-  auto touch = [this](const Value& v) {
-    if (v.kind != Value::Ref || v.ref == interp::kNull || canon_[v.ref] != 0)
-      return;
-    order_.push_back(v.ref);
-    canon_[v.ref] = static_cast<uint32_t>(order_.size());
-  };
-  for_each_root(s, touch);
-  for (size_t i = 0; i < order_.size(); ++i) {
-    for (const Value& v : s.obj(order_[i]).fields) touch(v);
-  }
+  const size_t num_objs = s.heap.size();
+  // Every value takes at most two words; headers are bounded per object,
+  // thread and link.
+  const size_t bound =
+      2 * (s.globals.size() + s.heap.cells.size() + s.tvals.size() +
+           num_objs + s.links.size()) +
+      5 * s.threads.size();
+  if (canon_.size() <= num_objs) canon_.resize(num_objs + 1, 0);
+  if (order_.size() < num_objs) order_.resize(num_objs);
+  if (key_.size() < bound) key_.resize(bound);
+  uint32_t* const canon = canon_.data();  // canon[kNull] stays 0
+  ObjId* const order = order_.data();
+  uint32_t reached = 0;
+  uint64_t* w = key_.data();
 
-  auto put_value = [this](const Value& v) {
-    const uint64_t payload = v.kind == Value::Ref
-                                 ? (v.ref == interp::kNull ? 0 : canon_[v.ref])
-                                 : static_cast<uint64_t>(v.i);
-    if ((payload + (uint64_t{1} << 60)) >> 61 == 0) {
-      key_.push_back(payload << 3 | v.kind);
-    } else {
-      key_.push_back(4 | v.kind);
-      key_.push_back(payload);
+  auto touch = [&](ObjId o) {
+    if (o != interp::kNull && canon[o] == 0) {
+      order[reached++] = o;
+      canon[o] = reached;
     }
   };
+  auto put_value = [&](const Value& v) {
+    uint64_t payload = static_cast<uint64_t>(v.i);
+    if (v.kind == Value::Ref) {
+      touch(v.ref);
+      payload = canon[v.ref];
+    }
+    if ((payload + (uint64_t{1} << 60)) >> 61 == 0) {
+      *w++ = payload << 3 | v.kind;
+    } else {
+      *w++ = 4 | v.kind;
+      *w++ = payload;
+    }
+  };
+
   for (const Value& v : s.globals) put_value(v);
-  key_.push_back(order_.size());
-  for (ObjId o : order_) {
-    interp::ConstObjView obj = s.obj(o);
-    const uint32_t cls = obj.hdr.cls.valid() ? obj.hdr.cls.idx + 1 : 0u;
-    key_.push_back(cls | uint64_t{obj.hdr.n} << 32);
-    key_.push_back(static_cast<uint32_t>(obj.hdr.lock_owner) |
-                   uint64_t{obj.hdr.lock_depth} << 32);
-    for (const Value& v : obj.fields) put_value(v);
-  }
   for (size_t tid = 0; tid < s.threads.size(); ++tid) {
     const Thread& t = s.threads[tid];
     if (t.status != ThreadStatus::Runnable) {
-      key_.push_back(static_cast<uint64_t>(t.status));
+      *w++ = static_cast<uint64_t>(t.status);
       put_value(t.ret);
       continue;
     }
-    const uint32_t utid = static_cast<uint32_t>(tid);
-    std::span<const interp::Link> links = s.links_of(utid);
-    key_.push_back(static_cast<uint64_t>(t.status) |
-                   uint64_t{static_cast<uint32_t>(t.proc)} << 8);
-    put_value(t.ret);
-    key_.push_back(t.pc | uint64_t{t.sp} << 32);
-    key_.push_back(t.frame_size | uint64_t{links.size()} << 32);
+    std::span<const interp::Link> links = s.links_of(static_cast<uint32_t>(tid));
+    *w++ = static_cast<uint64_t>(t.status) |
+           uint64_t{static_cast<uint32_t>(t.proc)} << 8;
+    *w++ = t.pc | uint64_t{t.sp} << 32;
+    *w++ = t.frame_size | uint64_t{links.size()} << 32;
     for (const Value& v : s.frame(tid)) put_value(v);
     for (const Value& v : s.stack(tid)) put_value(v);
+    for (const interp::Link& l : links)
+      if (l.key.kind != LocKey::Global) touch(l.key.a);
     for (const Value& v : s.tls(tid)) put_value(v);
+    put_value(t.ret);
     // (kind, canonical target, cell, valid bit), sorted as the reference
     // sorts them.
     link_words_.clear();
     for (const interp::Link& l : links) {
-      const uint32_t a =
-          l.key.kind == LocKey::Global ? l.key.a : canon_[l.key.a];
+      const uint32_t a = l.key.kind == LocKey::Global ? l.key.a : canon[l.key.a];
       link_words_.emplace_back(uint64_t{l.key.kind} << 32 | a,
                                uint64_t{l.key.b} << 1 | link_valid(s, l));
     }
     std::sort(link_words_.begin(), link_words_.end());
     for (const auto& [w0, w1] : link_words_) {
-      key_.push_back(w0);
-      key_.push_back(w1);
+      *w++ = w0;
+      *w++ = w1;
     }
   }
-  for (ObjId o : order_) canon_[o] = 0;
-  return key_;
-}
-
-uint64_t ModelChecker::hash_key(std::span<const uint64_t> key) {
-  // wyhash-style: one folded 128-bit multiply per pair of words.
-  constexpr uint64_t k0 = 0xa0761d6478bd642full, k1 = 0xe7037ed1a0b428dbull,
-                     k2 = 0x8ebc6af09c88c6e3ull;
-  uint64_t h = k2;
-  size_t i = 0;
-  for (; i + 1 < key.size(); i += 2) h = mum(key[i] ^ k0, key[i + 1] ^ h);
-  if (i < key.size()) h = mum(key[i] ^ k0, h ^ k1);
-  return mum(h ^ k2, static_cast<uint64_t>(key.size()) ^ k1);
+  for (uint32_t i = 0; i < reached; ++i) {
+    interp::ConstObjView obj = s.obj(order[i]);
+    const uint32_t cls = obj.hdr.cls.valid() ? obj.hdr.cls.idx + 1 : 0u;
+    *w++ = cls | uint64_t{obj.hdr.n} << 32;
+    *w++ = static_cast<uint32_t>(obj.hdr.lock_owner) |
+           uint64_t{obj.hdr.lock_depth} << 32;
+    for (const Value& v : obj.fields) put_value(v);
+  }
+  for (uint32_t i = 0; i < reached; ++i) canon[order[i]] = 0;
+  return {key_.data(), static_cast<size_t>(w - key_.data())};
 }
 
 // ---------------------------------------------------------------------------
@@ -414,8 +428,6 @@ Result ModelChecker::run(const RunSpec& spec) {
                        const std::vector<Value>& args) -> bool {
     int idx = cp_.find_index(proc);
     SYNAT_ASSERT(idx >= 0, "unknown setup procedure: " + proc);
-    SYNAT_ASSERT(args.size() == cp_.procs[static_cast<size_t>(idx)].num_params,
-                 "wrong setup argument count for " + proc);
     interp_.start_thread(init, tid, idx, args);
     std::string err;
     StepResult r = interp_.run_thread(init, tid, &err);

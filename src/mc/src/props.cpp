@@ -4,20 +4,32 @@ namespace synat::mc {
 
 using interp::ObjId;
 
-std::optional<std::string> walk_list(const State& s, ObjId head,
-                                     int next_field,
-                                     std::vector<ObjId>& out) {
-  ObjId cur = head;
-  size_t guard = s.heap.size() + 1;
-  while (cur != interp::kNull) {
+namespace {
+
+/// Calls `visit` on each node of the list from `head` (inclusive); returns
+/// an error string on cycles or dangling references.
+template <class Visit>
+std::optional<std::string> walk(const State& s, ObjId head, int next_field,
+                                Visit&& visit) {
+  const size_t guard = s.heap.size() + 1;
+  size_t visited = 0;
+  for (ObjId cur = head; cur != interp::kNull;) {
     if (!s.valid_ref(cur)) return "dangling reference in list";
-    if (out.size() > guard) return "cycle in list";
-    out.push_back(cur);
+    if (visited++ > guard) return "cycle in list";
+    visit(cur);
     const Value& next = s.obj(cur).fields[static_cast<size_t>(next_field)];
     if (next.kind != Value::Ref) return "non-reference Next field";
     cur = next.ref;
   }
   return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::string> walk_list(const State& s, ObjId head,
+                                     int next_field,
+                                     std::vector<ObjId>& out) {
+  return walk(s, head, next_field, [&](ObjId o) { out.push_back(o); });
 }
 
 StateCheck queue_wellformed(const ModelChecker& mc, int next_field) {
@@ -27,11 +39,12 @@ StateCheck queue_wellformed(const ModelChecker& mc, int next_field) {
     ObjId head = s.globals[static_cast<size_t>(head_slot)].ref;
     ObjId tail = s.globals[static_cast<size_t>(tail_slot)].ref;
     if (head == interp::kNull) return std::nullopt;  // before Init
-    std::vector<ObjId> nodes;
-    if (auto err = walk_list(s, head, next_field, nodes)) return err;
-    for (ObjId n : nodes) {
-      if (n == tail) return std::nullopt;
-    }
+    // Runs at every state: walk without collecting the nodes.
+    bool tail_seen = false;
+    if (auto err = walk(s, head, next_field,
+                        [&](ObjId n) { tail_seen |= n == tail; }))
+      return err;
+    if (tail_seen) return std::nullopt;
     return "Tail not reachable from Head";
   };
 }
