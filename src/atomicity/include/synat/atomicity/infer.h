@@ -87,6 +87,15 @@ struct ProcResult {
   std::vector<obs::ProvenanceRecord> prov;
 };
 
+/// Deterministic work counts of one inference run. They measure the engine,
+/// not the program, and are never rendered into reports.
+struct InferWork {
+  /// Conflict-universe entries visited by step-4 conflict scans.
+  size_t step4_candidates = 0;
+  /// Theorem 5.5 premise evaluations that missed the per-path memo.
+  size_t premise_evals = 0;
+};
+
 class AtomicityResult {
  public:
   const std::vector<ProcResult>& procs() const { return procs_; }
@@ -107,9 +116,12 @@ class AtomicityResult {
   /// Listing of every variant of every procedure.
   std::string full_listing(const synl::Program& prog) const;
 
+  const InferWork& work() const { return work_; }
+
  private:
   friend class InferEngine;
   std::vector<ProcResult> procs_;
+  InferWork work_;
 };
 
 /// Runs the complete analysis. Appends exceptional variants to `prog`.

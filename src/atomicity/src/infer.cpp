@@ -58,6 +58,141 @@ SourceLoc event_loc(const Program& prog, const Event& ev) {
   return {};
 }
 
+/// Access paths bucketed the way `may_alias` tells them apart, so a query
+/// visits only the entries it could alias instead of all of them. Entries
+/// are numbered in insertion order; each bucket lists its positions in
+/// ascending order and a query merges its buckets, so candidates come out
+/// in insertion order. The index only drops entries that can never alias
+/// the query: callers still filter every candidate with `may_alias`.
+///
+/// Bucket keys: an invalid root aliases everything (wildcard); a plain
+/// variable aliases only itself; a field whose holder is a known class
+/// aliases that class's field plus same-named fields whose holder is not
+/// a known class ("loose"); array elements share one bucket.
+class PathIndex {
+ public:
+  void add(const Program& prog, const AccessPath& path) {
+    const uint32_t pos = size_++;
+    const Key k = key_of(prog, path);
+    switch (k.kind) {
+      case Key::Any:
+        any_.push_back(pos);
+        break;
+      case Key::Var:
+        vars_[k.sym].push_back(pos);
+        break;
+      case Key::ClassField:
+        class_fields_[pack(k.sym, k.cls)].push_back(pos);
+        fields_[k.sym].push_back(pos);
+        break;
+      case Key::LooseField:
+        loose_fields_[k.sym].push_back(pos);
+        fields_[k.sym].push_back(pos);
+        break;
+      case Key::Elem:
+        elems_.push_back(pos);
+        break;
+    }
+  }
+
+  /// Calls `f(pos)` for every entry that may alias `query`, in ascending
+  /// position order, until `f` returns false.
+  template <class F>
+  void for_each_candidate(const Program& prog, const AccessPath& query,
+                          F&& f) const {
+    const Key k = key_of(prog, query);
+    const Bucket* lists[3] = {&any_, nullptr, nullptr};
+    switch (k.kind) {
+      case Key::Any:
+        for (uint32_t pos = 0; pos < size_; ++pos)
+          if (!f(pos)) return;
+        return;
+      case Key::Var:
+        lists[1] = find(vars_, k.sym);
+        break;
+      case Key::ClassField:
+        lists[1] = find(class_fields_, pack(k.sym, k.cls));
+        lists[2] = find(loose_fields_, k.sym);
+        break;
+      case Key::LooseField:
+        lists[1] = find(fields_, k.sym);
+        break;
+      case Key::Elem:
+        lists[1] = &elems_;
+        break;
+    }
+    // The buckets are disjoint, so a plain three-way merge yields each
+    // candidate once.
+    size_t at[3] = {0, 0, 0};
+    while (true) {
+      int next = -1;
+      uint32_t pos = 0;
+      for (int i = 0; i < 3; ++i) {
+        if (lists[i] == nullptr || at[i] == lists[i]->size()) continue;
+        const uint32_t p = (*lists[i])[at[i]];
+        if (next < 0 || p < pos) {
+          next = i;
+          pos = p;
+        }
+      }
+      if (next < 0) return;
+      ++at[next];
+      if (!f(pos)) return;
+    }
+  }
+
+ private:
+  using Bucket = std::vector<uint32_t>;
+
+  struct Key {
+    enum Kind : uint8_t { Any, Var, ClassField, LooseField, Elem } kind = Any;
+    uint32_t sym = 0;  ///< VarId of a plain variable, field symbol id
+    uint32_t cls = 0;  ///< ClassId of a ClassField's holder
+  };
+
+  /// Mirrors `analysis::may_alias`: two paths with different keys never
+  /// alias, except that Any aliases everything and a LooseField aliases
+  /// every field of the same name.
+  static Key key_of(const Program& prog, const AccessPath& path) {
+    if (!path.root.valid()) return {};
+    if (path.is_plain_var()) return {Key::Var, path.root.idx, 0};
+    const cfg::Selector& sel = path.sels.back();
+    if (sel.kind == cfg::Selector::Index) return {Key::Elem, 0, 0};
+    const synl::TypeId holder = analysis::path_prefix_type(prog, path);
+    if (holder.valid() && prog.type(holder).kind == synl::TypeKind::Ref)
+      return {Key::ClassField, sel.field.id(), prog.type(holder).cls.idx};
+    return {Key::LooseField, sel.field.id(), 0};
+  }
+
+  static uint64_t pack(uint32_t field, uint32_t cls) {
+    return static_cast<uint64_t>(field) << 32 | cls;
+  }
+
+  template <class M, class K>
+  static const Bucket* find(const M& map, K key) {
+    auto it = map.find(key);
+    return it == map.end() ? nullptr : &it->second;
+  }
+
+  uint32_t size_ = 0;
+  Bucket any_;
+  Bucket elems_;
+  std::unordered_map<uint32_t, Bucket> vars_;
+  std::unordered_map<uint64_t, Bucket> class_fields_;
+  std::unordered_map<uint32_t, Bucket> loose_fields_;
+  std::unordered_map<uint32_t, Bucket> fields_;  ///< every entry per field
+};
+
+struct AccessPathHash {
+  size_t operator()(const AccessPath& path) const {
+    Hasher h;
+    h.mix(path.root.idx);
+    for (const cfg::Selector& sel : path.sels)
+      h.mix(static_cast<uint64_t>(sel.kind) << 32 | sel.field.id());
+    return h.value();
+  }
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -97,6 +232,8 @@ class InferEngine {
   void build_variant_ctx(ProcId variant);
   void build_regions(VariantCtx& ctx);
   void build_lock_sets(VariantCtx& ctx);
+  /// Indexes the conflict universe once every variant context exists.
+  void build_universe();
 
   bool is_global_action(const VariantCtx& ctx, EventId e) const {
     const Event& ev = ctx.pa->cfg().node(e);
@@ -140,8 +277,9 @@ class InferEngine {
 
   /// Theorem 5.5 premise for svar's alias class: all LL-SC blocks on it
   /// share one non-trivial condition and all global updates are SCs inside
-  /// such blocks. Returns the common condition.
+  /// such blocks. Returns the common condition. Memoized per path.
   std::optional<Pred> llsc_premise(const AccessPath& svar) const;
+  std::optional<Pred> eval_llsc_premise(const AccessPath& svar) const;
 
   /// Directional protection of `e` by region `r` (see DESIGN.md):
   /// the slot immediately before/after e is strictly inside the region.
@@ -180,18 +318,37 @@ class InferEngine {
 
   void mix_variant_signature(Hasher& h, const VariantCtx& ctx) const;
 
-  void propagate(VariantCtx& ctx, VariantResult& out) const;
+  /// (StmtId.idx, EventId.idx) of a variant's action events, sorted: each
+  /// statement's own events form one run, in EventId order.
+  using StmtEvents = std::vector<std::pair<uint32_t, uint32_t>>;
+
+  void propagate(const VariantCtx& ctx, VariantResult& out) const;
   Atomicity stmt_atom(const VariantCtx& ctx, const VariantResult& res,
-                      synl::StmtId id,
+                      const StmtEvents& events, synl::StmtId id,
                       std::unordered_map<uint32_t, Atomicity>& memo) const;
   Atomicity seq_events_of(const VariantCtx& ctx, const VariantResult& res,
-                          synl::StmtId id, bool pre_release_only,
-                          bool release_only) const;
+                          const StmtEvents& events, synl::StmtId id,
+                          bool pre_release_only, bool release_only) const;
 
   Program& prog_;
   DiagEngine& diags_;
   const InferOptions& opts_;
   std::vector<VariantCtx> vctx_;
+
+  /// One conflict-universe entry: a global, non-lock, read- or write-like
+  /// action. `universe_` lists them in variant order, then EventId order —
+  /// the order the step-4 witness search has always used.
+  struct UniverseEntry {
+    const VariantCtx* ctx;
+    EventId event;
+  };
+  std::vector<UniverseEntry> universe_;
+  PathIndex universe_index_;  ///< positions in universe_, by event path
+  std::vector<const Region*> llsc_blocks_;  ///< every LL-SC block region
+  PathIndex llsc_index_;      ///< positions in llsc_blocks_, by svar
+  mutable std::unordered_map<AccessPath, std::optional<Pred>, AccessPathHash>
+      premise_memo_;
+  mutable InferWork work_;
 };
 
 // ---------------------------------------------------------------------------
@@ -334,54 +491,78 @@ void InferEngine::build_lock_sets(VariantCtx& ctx) {
   ctx.held = std::move(in);
 }
 
-bool InferEngine::all_updates_via(const AccessPath& path, EventKind prim) const {
+void InferEngine::build_universe() {
   for (const VariantCtx& w : vctx_) {
     const cfg::Cfg& cfg = w.pa->cfg();
     for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
       EventId f(i);
       const Event& fe = cfg.node(f);
-      if (!write_like(fe)) continue;
-      if (fe.kind == prim) continue;
-      if (!is_global_action(w, f)) continue;  // local updates do not count
-      if (may_alias(prog_, fe.path, path)) return false;
+      if (!(read_like(fe) || write_like(fe)) || !is_global_action(w, f))
+        continue;
+      universe_.push_back({&w, f});
+      universe_index_.add(prog_, fe.path);
+    }
+    for (const Region& r : w.regions) {
+      if (r.kind != Region::LLSCBlock) continue;
+      llsc_blocks_.push_back(&r);
+      llsc_index_.add(prog_, r.svar);
     }
   }
-  return true;
+}
+
+bool InferEngine::all_updates_via(const AccessPath& path, EventKind prim) const {
+  // Local updates are not in the universe, so they do not count.
+  bool ok = true;
+  universe_index_.for_each_candidate(prog_, path, [&](uint32_t pos) {
+    const UniverseEntry& u = universe_[pos];
+    const Event& fe = u.ctx->pa->cfg().node(u.event);
+    if (write_like(fe) && fe.kind != prim && may_alias(prog_, fe.path, path))
+      ok = false;
+    return ok;
+  });
+  return ok;
 }
 
 std::optional<Pred> InferEngine::llsc_premise(const AccessPath& svar) const {
-  std::optional<Pred> common;
-  for (const VariantCtx& w : vctx_) {
-    for (const Region& r : w.regions) {
-      if (r.kind != Region::LLSCBlock) continue;
-      if (!may_alias(prog_, r.svar, svar)) continue;
-      if (r.cond == Pred::True) return std::nullopt;
-      if (common && *common != r.cond) return std::nullopt;
-      common = r.cond;
-    }
+  auto it = premise_memo_.find(svar);
+  if (it == premise_memo_.end()) {
+    ++work_.premise_evals;
+    it = premise_memo_.emplace(svar, eval_llsc_premise(svar)).first;
   }
-  if (!common) return std::nullopt;
+  return it->second;
+}
+
+std::optional<Pred> InferEngine::eval_llsc_premise(
+    const AccessPath& svar) const {
+  // Neither half depends on visiting order: any aliasing block with a
+  // trivial or a second distinct condition, or any aliasing update that is
+  // not an SC inside such a block, defeats the premise.
+  std::optional<Pred> common;
+  bool ok = true;
+  llsc_index_.for_each_candidate(prog_, svar, [&](uint32_t pos) {
+    const Region& r = *llsc_blocks_[pos];
+    if (!may_alias(prog_, r.svar, svar)) return true;
+    if (r.cond == Pred::True || (common && *common != r.cond)) ok = false;
+    common = r.cond;
+    return ok;
+  });
+  if (!ok || !common) return std::nullopt;
 
   // Every global update of ~svar must be an SC inside an LL-SC block on it.
-  for (const VariantCtx& w : vctx_) {
-    const cfg::Cfg& cfg = w.pa->cfg();
-    for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
-      EventId f(i);
-      const Event& fe = cfg.node(f);
-      if (!write_like(fe) || !is_global_action(w, f)) continue;
-      if (!may_alias(prog_, fe.path, svar)) continue;
-      if (fe.kind != EventKind::SC) return std::nullopt;
-      bool inside = false;
-      for (const Region& r : w.regions) {
-        if (r.kind == Region::LLSCBlock && may_alias(prog_, r.svar, svar) &&
-            r.members[f.idx]) {
-          inside = true;
-          break;
-        }
-      }
-      if (!inside) return std::nullopt;
-    }
-  }
+  universe_index_.for_each_candidate(prog_, svar, [&](uint32_t pos) {
+    const UniverseEntry& u = universe_[pos];
+    const Event& fe = u.ctx->pa->cfg().node(u.event);
+    if (!write_like(fe) || !may_alias(prog_, fe.path, svar)) return true;
+    ok = fe.kind == EventKind::SC &&
+         std::any_of(u.ctx->regions.begin(), u.ctx->regions.end(),
+                     [&](const Region& r) {
+                       return r.kind == Region::LLSCBlock &&
+                              may_alias(prog_, r.svar, svar) &&
+                              r.members[u.event.idx];
+                     });
+    return ok;
+  });
+  if (!ok) return std::nullopt;
   return common;
 }
 
@@ -458,8 +639,8 @@ bool InferEngine::excluded(const VariantCtx& ctx_e, EventId e,
 
 Atomicity InferEngine::step4(const VariantCtx& ctx, EventId e,
                              Step4Info* info) const {
-  // The O(n^2) conflict scan dominates runtime on large programs; poll the
-  // budget once per classified event so deadlines trip promptly.
+  // The conflict scan is the engine's largest cost on large programs; poll
+  // the budget once per classified event so deadlines trip promptly.
   if (opts_.variant_opts.budget != nullptr)
     opts_.variant_opts.budget->check("mover classification");
   const Event& ev = ctx.pa->cfg().node(e);
@@ -483,40 +664,38 @@ Atomicity InferEngine::step4(const VariantCtx& ctx, EventId e,
     }
   };
 
-  for (const VariantCtx& w : vctx_) {
-    const cfg::Cfg& wcfg = w.pa->cfg();
-    for (uint32_t i = 0; i < wcfg.num_nodes(); ++i) {
-      EventId f(i);
-      const Event& fe = wcfg.node(f);
-      if (!fe.is_action() || !is_global_action(w, f)) continue;
-      // A read conflicts with writes; a write conflicts with reads+writes.
-      bool is_conflict = write_like(fe) || (write_like(ev) && read_like(fe));
-      if (!is_conflict) continue;
-      if (fe.kind == EventKind::Acquire || fe.kind == EventKind::Release)
-        continue;
-      if (!may_alias(prog_, ev.path, fe.path)) continue;
-      if (info != nullptr) info->had_conflict = true;
-      if (!conflict_before) {
-        const char* why = nullptr;
-        if (!excluded(ctx, e, w, f, /*before=*/true, &why)) {
-          conflict_before = true;
-          note_conflict(w, f);
-        } else {
-          note_exclusion(why, w, f);
-        }
+  // Candidates arrive in universe order, so the first witness is the one a
+  // scan of every variant's events would find.
+  universe_index_.for_each_candidate(prog_, ev.path, [&](uint32_t pos) {
+    ++work_.step4_candidates;
+    const VariantCtx& w = *universe_[pos].ctx;
+    const EventId f = universe_[pos].event;
+    const Event& fe = w.pa->cfg().node(f);
+    // A read conflicts with writes; a write conflicts with reads+writes.
+    bool is_conflict = write_like(fe) || (write_like(ev) && read_like(fe));
+    if (!is_conflict || !may_alias(prog_, ev.path, fe.path)) return true;
+    if (info != nullptr) info->had_conflict = true;
+    if (!conflict_before) {
+      const char* why = nullptr;
+      if (!excluded(ctx, e, w, f, /*before=*/true, &why)) {
+        conflict_before = true;
+        note_conflict(w, f);
+      } else {
+        note_exclusion(why, w, f);
       }
-      if (!conflict_after) {
-        const char* why = nullptr;
-        if (!excluded(ctx, e, w, f, /*before=*/false, &why)) {
-          conflict_after = true;
-          note_conflict(w, f);
-        } else {
-          note_exclusion(why, w, f);
-        }
-      }
-      if (conflict_before && conflict_after) return Atomicity::A;
     }
-  }
+    if (!conflict_after) {
+      const char* why = nullptr;
+      if (!excluded(ctx, e, w, f, /*before=*/false, &why)) {
+        conflict_after = true;
+        note_conflict(w, f);
+      } else {
+        note_exclusion(why, w, f);
+      }
+    }
+    return !(conflict_before && conflict_after);
+  });
+  if (conflict_before && conflict_after) return Atomicity::A;
   if (!conflict_before && !conflict_after) return Atomicity::B;
   if (!conflict_before) return Atomicity::L;  // nothing can be right before it
   return Atomicity::R;                        // nothing can be right after it
@@ -768,15 +947,17 @@ Atomicity InferEngine::classify_event(
 // Step 6: AST propagation
 
 Atomicity InferEngine::seq_events_of(const VariantCtx& ctx,
-                                     const VariantResult& res, synl::StmtId id,
+                                     const VariantResult& res,
+                                     const StmtEvents& events, synl::StmtId id,
                                      bool pre_release_only,
                                      bool release_only) const {
   const cfg::Cfg& cfg = ctx.pa->cfg();
   Atomicity acc = Atomicity::B;
-  for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
-    const Event& ev = cfg.node(EventId(i));
-    if (ev.stmt != id || !ev.is_action()) continue;
-    bool is_release = ev.kind == EventKind::Release;
+  for (auto ev = std::lower_bound(events.begin(), events.end(),
+                                  std::pair<uint32_t, uint32_t>(id.idx, 0));
+       ev != events.end() && ev->first == id.idx; ++ev) {
+    const uint32_t i = ev->second;
+    bool is_release = cfg.node(EventId(i)).kind == EventKind::Release;
     if (pre_release_only && is_release) continue;
     if (release_only && !is_release) continue;
     auto it = res.event_atom.find(i);
@@ -787,8 +968,8 @@ Atomicity InferEngine::seq_events_of(const VariantCtx& ctx,
 }
 
 Atomicity InferEngine::stmt_atom(
-    const VariantCtx& ctx, const VariantResult& res, synl::StmtId id,
-    std::unordered_map<uint32_t, Atomicity>& memo) const {
+    const VariantCtx& ctx, const VariantResult& res, const StmtEvents& events,
+    synl::StmtId id, std::unordered_map<uint32_t, Atomicity>& memo) const {
   if (!id.valid()) return Atomicity::B;
   if (auto it = memo.find(id.idx); it != memo.end()) return it->second;
   const Stmt& s = prog_.stmt(id);
@@ -802,32 +983,32 @@ Atomicity InferEngine::stmt_atom(
     case StmtKind::Break:
     case StmtKind::Continue:
     case StmtKind::Skip:
-      a = seq_events_of(ctx, res, id, false, false);
+      a = seq_events_of(ctx, res, events, id, false, false);
       break;
     case StmtKind::Block:
       for (synl::StmtId child : s.stmts)
-        a = seq(a, stmt_atom(ctx, res, child, memo));
+        a = seq(a, stmt_atom(ctx, res, events, child, memo));
       break;
     case StmtKind::If: {
-      Atomicity cond = seq_events_of(ctx, res, id, false, false);
-      Atomicity branches = join(stmt_atom(ctx, res, s.s1, memo),
-                                stmt_atom(ctx, res, s.s2, memo));
+      Atomicity cond = seq_events_of(ctx, res, events, id, false, false);
+      Atomicity branches = join(stmt_atom(ctx, res, events, s.s1, memo),
+                                stmt_atom(ctx, res, events, s.s2, memo));
       a = seq(cond, branches);
       break;
     }
     case StmtKind::Local:
-      a = seq(seq_events_of(ctx, res, id, false, false),
-              stmt_atom(ctx, res, s.s1, memo));
+      a = seq(seq_events_of(ctx, res, events, id, false, false),
+              stmt_atom(ctx, res, events, s.s1, memo));
       break;
     case StmtKind::Loop:
-      a = iter(stmt_atom(ctx, res, s.s1, memo));
+      a = iter(stmt_atom(ctx, res, events, s.s1, memo));
       break;
     case StmtKind::Synchronized: {
-      Atomicity pre = seq_events_of(ctx, res, id, /*pre_release_only=*/true,
+      Atomicity pre = seq_events_of(ctx, res, events, id, /*pre_release_only=*/true,
                                     /*release_only=*/false);
-      Atomicity post = seq_events_of(ctx, res, id, false,
+      Atomicity post = seq_events_of(ctx, res, events, id, false,
                                      /*release_only=*/true);
-      a = seq(seq(pre, stmt_atom(ctx, res, s.s1, memo)), post);
+      a = seq(seq(pre, stmt_atom(ctx, res, events, s.s1, memo)), post);
       break;
     }
   }
@@ -835,21 +1016,26 @@ Atomicity InferEngine::stmt_atom(
   return a;
 }
 
-void InferEngine::propagate(VariantCtx& ctx, VariantResult& out) const {
+void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out) const {
   obs::SpanScope span(obs::StageId::Movers);
   const cfg::Cfg& cfg = ctx.pa->cfg();
   std::vector<obs::ProvenanceRecord>* prov =
       opts_.provenance ? &out.prov : nullptr;
+  StmtEvents events;
+  events.reserve(cfg.num_nodes());
   for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
     if (opts_.variant_opts.budget != nullptr)
       opts_.variant_opts.budget->check("mover classification");
     EventId e(i);
-    if (!cfg.node(e).is_action()) continue;
+    const Event& ev = cfg.node(e);
+    if (!ev.is_action()) continue;
     out.event_atom[i] = classify_event(ctx, e, prov);
+    if (ev.stmt.valid()) events.emplace_back(ev.stmt.idx, i);
   }
+  std::sort(events.begin(), events.end());
   std::unordered_map<uint32_t, Atomicity> memo;
   out.atomicity =
-      stmt_atom(ctx, out, prog_.proc(ctx.id).body, memo);
+      stmt_atom(ctx, out, events, prog_.proc(ctx.id).body, memo);
   for (auto [idx, a] : memo) out.stmt_atom[idx] = a;
 
   if (prov != nullptr) {
@@ -982,10 +1168,14 @@ AtomicityResult InferEngine::run() {
       if (budget != nullptr) budget->check("variant expansion");
       build_variant_ctx(v);
     }
+  build_universe();
 
-  // Steps 1-6 per variant; step 7 per original procedure.
-  std::unordered_map<uint32_t, VariantResult*> by_variant;
+  // Steps 1-6 per variant; step 7 per original procedure. vctx_ holds the
+  // contexts in the order the loop above built them.
+  size_t next = 0;
   for (const VariantSet& vs : sets) {
+    const size_t first = next;
+    next += vs.variants.size();
     if (!selected(vs.original)) continue;
     ProcResult pr;
     pr.proc = vs.original;
@@ -1008,15 +1198,13 @@ AtomicityResult InferEngine::run() {
         pr.prov = std::move(it->second);
     }
     Atomicity overall = Atomicity::B;
-    for (ProcId v : vs.variants) {
-      VariantCtx* ctx = nullptr;
-      for (VariantCtx& c : vctx_)
-        if (c.id == v) ctx = &c;
-      SYNAT_ASSERT(ctx != nullptr, "missing variant context");
+    for (size_t i = 0; i < vs.variants.size(); ++i) {
+      const VariantCtx& ctx = vctx_[first + i];
+      SYNAT_ASSERT(ctx.id == vs.variants[i], "variant context order mismatch");
       VariantResult vr;
-      vr.variant = v;
-      vr.pa = ctx->pa;
-      propagate(*ctx, vr);
+      vr.variant = ctx.id;
+      vr.pa = ctx.pa;
+      propagate(ctx, vr);
       overall = join(overall, vr.atomicity);
       pr.variants.push_back(std::move(vr));
     }
@@ -1065,6 +1253,7 @@ AtomicityResult InferEngine::run() {
     }
     result.procs_.push_back(std::move(pr));
   }
+  result.work_ = work_;
   return result;
 }
 

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <functional>
+#include <set>
 
+#include "synat/atomicity/infer.h"
 #include "synat/corpus/corpus.h"
 #include "synat/driver/driver.h"
 #include "synat/obs/trace.h"
+#include "synat/synl/parser.h"
 
 namespace synat::driver {
 namespace {
@@ -71,6 +75,45 @@ ProgramInput nfq_replicas(size_t k) {
   return in;
 }
 
+/// `k` disjoint copies of NFQ': each copy renames the class, the globals
+/// and the procedures (Node_0, Head_0, AddNode_0, ...) but keeps the field
+/// names `Value` and `Next`. No access of one copy can alias an access of
+/// another, yet every copy shares the field symbols, so an index keyed on
+/// field names alone would still pair every copy with every other.
+std::string nfq_disjoint_copies(size_t k) {
+  const std::string src(corpus::get("nfq_prime").source);
+  const std::set<std::string> renamed = {"Node",    "Head",       "Tail",
+                                         "AddNode", "UpdateTail", "Deq"};
+  auto ident = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  };
+  std::string out;
+  for (size_t i = 0; i < k; ++i) {
+    const std::string suffix = "_" + std::to_string(i);
+    for (size_t p = 0; p < src.size();) {
+      if (!ident(src[p])) {
+        out += src[p++];
+        continue;
+      }
+      size_t end = p;
+      while (end < src.size() && ident(src[end])) ++end;
+      const std::string word = src.substr(p, end - p);
+      out += renamed.count(word) ? word + suffix : word;
+      p = end;
+    }
+  }
+  return out;
+}
+
+atomicity::InferWork infer_work(const std::string& source) {
+  DiagEngine diags;
+  synl::Program prog = synl::parse_and_check(source, diags);
+  EXPECT_FALSE(diags.has_errors()) << diags.dump();
+  atomicity::AtomicityResult r = atomicity::infer_atomicity(prog, diags);
+  EXPECT_TRUE(r.all_atomic());
+  return r.work();
+}
+
 // The whole corpus at --jobs 1 without a cache: one parse per program, and
 // every CFG and variant built exactly once per program.
 TEST(WorkCounters, CorpusBatchRunsEachLayerOncePerProgram) {
@@ -110,6 +153,30 @@ TEST(WorkCounters, ReplicatedNfqScalesLinearly) {
     EXPECT_GT(at(one, s), 0u) << obs::stage_name(s);
     EXPECT_EQ(at(two, s), 2 * at(one, s)) << obs::stage_name(s);
   }
+}
+
+// Mover classification visits only the conflict-universe entries that may
+// alias the classified access: twice the disjoint copies, exactly twice the
+// step-4 candidates (a scan of the whole universe per event would grow
+// 4x).
+TEST(WorkCounters, DisjointCopiesScaleStep4CandidatesLinearly) {
+  const atomicity::InferWork one = infer_work(nfq_disjoint_copies(1));
+  const atomicity::InferWork four = infer_work(nfq_disjoint_copies(4));
+  const atomicity::InferWork eight = infer_work(nfq_disjoint_copies(8));
+  EXPECT_EQ(one.step4_candidates, 72u);
+  EXPECT_EQ(four.step4_candidates, 4 * one.step4_candidates);
+  EXPECT_EQ(eight.step4_candidates, 2 * four.step4_candidates);
+}
+
+// The Theorem 5.5 premise is evaluated once per distinct shared-variable
+// path, however many event pairs consult it. Each NFQ' copy has four: the
+// block variables t.Next of AddNode'1 and UpdateTail'1 and h.Next of Deq'1
+// and Deq'2 (each variant owns its locals). Without the memo each copy
+// would evaluate 16 premises.
+TEST(WorkCounters, PremiseEvaluatedOncePerSharedVariable) {
+  EXPECT_EQ(infer_work(nfq_disjoint_copies(1)).premise_evals, 4u);
+  EXPECT_EQ(infer_work(nfq_disjoint_copies(4)).premise_evals, 16u);
+  EXPECT_EQ(infer_work(nfq_disjoint_copies(8)).premise_evals, 32u);
 }
 
 }  // namespace
