@@ -19,7 +19,6 @@
 //   racy_counter     - negative control: must NOT be proven atomic
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,11 +32,6 @@ struct Entry {
   /// CAS targets carrying modification counters (InferOptions::counted_cas).
   std::vector<std::string_view> counted_cas;
 };
-
-/// Prints the entry's name. GoogleTest finds this by argument-dependent
-/// lookup when it prints a test parameter, so parameterized test ids read
-/// "GetParam() = nfq" instead of the entry's raw bytes.
-void PrintTo(const Entry& e, std::ostream* os);
 
 /// All corpus programs, in a stable order.
 const std::vector<Entry>& all();

@@ -1,7 +1,5 @@
 #include "synat/corpus/corpus.h"
 
-#include <ostream>
-
 #include "synat/support/diag.h"
 
 namespace synat::corpus {
@@ -720,8 +718,6 @@ const std::vector<Entry>& entries() {
 }
 
 }  // namespace
-
-void PrintTo(const Entry& e, std::ostream* os) { *os << e.name; }
 
 const std::vector<Entry>& all() { return entries(); }
 
