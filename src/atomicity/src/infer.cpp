@@ -58,41 +58,23 @@ SourceLoc event_loc(const Program& prog, const Event& ev) {
   return {};
 }
 
-/// Access paths bucketed the way `may_alias` tells them apart, so a query
-/// visits only the entries it could alias instead of all of them. Entries
-/// are numbered in insertion order; each bucket lists its positions in
-/// ascending order and a query merges its buckets, so candidates come out
-/// in insertion order. The index only drops entries that can never alias
-/// the query: callers still filter every candidate with `may_alias`.
+/// Conflict-universe positions bucketed the way `may_alias` tells access
+/// paths apart, so a query visits only the entries it could alias. Each
+/// bucket lists positions in ascending order and a query merges its
+/// buckets, so candidates come out in universe order. The index only drops
+/// entries that can never alias the query: callers still filter every
+/// candidate with `may_alias`.
 ///
-/// Bucket keys: an invalid root aliases everything (wildcard); a plain
-/// variable aliases only itself; a field whose holder is a known class
-/// aliases that class's field plus same-named fields whose holder is not
-/// a known class ("loose"); array elements share one bucket.
+/// Keys: an invalid root aliases everything (wildcard); a plain variable
+/// aliases only itself; a field whose holder is a known class aliases that
+/// class's field plus same-named fields whose holder is not a known class
+/// ("loose"); array elements share one bucket. The class is part of the
+/// field key because distinct classes often reuse field names (`next`,
+/// `val`). Wildcard and loose queries, which are rare, visit every entry.
 class PathIndex {
  public:
   void add(const Program& prog, const AccessPath& path) {
-    const uint32_t pos = size_++;
-    const Key k = key_of(prog, path);
-    switch (k.kind) {
-      case Key::Any:
-        any_.push_back(pos);
-        break;
-      case Key::Var:
-        vars_[k.sym].push_back(pos);
-        break;
-      case Key::ClassField:
-        class_fields_[pack(k.sym, k.cls)].push_back(pos);
-        fields_[k.sym].push_back(pos);
-        break;
-      case Key::LooseField:
-        loose_fields_[k.sym].push_back(pos);
-        fields_[k.sym].push_back(pos);
-        break;
-      case Key::Elem:
-        elems_.push_back(pos);
-        break;
-    }
+    buckets_[key_of(prog, path)].push_back(size_++);
   }
 
   /// Calls `f(pos)` for every entry that may alias `query`, in ascending
@@ -101,28 +83,15 @@ class PathIndex {
   void for_each_candidate(const Program& prog, const AccessPath& query,
                           F&& f) const {
     const Key k = key_of(prog, query);
-    const Bucket* lists[3] = {&any_, nullptr, nullptr};
-    switch (k.kind) {
-      case Key::Any:
-        for (uint32_t pos = 0; pos < size_; ++pos)
-          if (!f(pos)) return;
-        return;
-      case Key::Var:
-        lists[1] = find(vars_, k.sym);
-        break;
-      case Key::ClassField:
-        lists[1] = find(class_fields_, pack(k.sym, k.cls));
-        lists[2] = find(loose_fields_, k.sym);
-        break;
-      case Key::LooseField:
-        lists[1] = find(fields_, k.sym);
-        break;
-      case Key::Elem:
-        lists[1] = &elems_;
-        break;
+    if (k.kind == Key::Any || k.kind == Key::Loose) {
+      for (uint32_t pos = 0; pos < size_; ++pos)
+        if (!f(pos)) return;
+      return;
     }
-    // The buckets are disjoint, so a plain three-way merge yields each
-    // candidate once.
+    const Bucket* lists[3] = {find({Key::Any, 0, 0}), find(k), nullptr};
+    if (k.kind == Key::ClassField) lists[2] = find({Key::Loose, k.sym, 0});
+    // The buckets are disjoint, so a three-way merge yields each candidate
+    // once.
     size_t at[3] = {0, 0, 0};
     while (true) {
       int next = -1;
@@ -135,9 +104,8 @@ class PathIndex {
           pos = p;
         }
       }
-      if (next < 0) return;
+      if (next < 0 || !f(pos)) return;
       ++at[next];
-      if (!f(pos)) return;
     }
   }
 
@@ -145,42 +113,40 @@ class PathIndex {
   using Bucket = std::vector<uint32_t>;
 
   struct Key {
-    enum Kind : uint8_t { Any, Var, ClassField, LooseField, Elem } kind = Any;
-    uint32_t sym = 0;  ///< VarId of a plain variable, field symbol id
-    uint32_t cls = 0;  ///< ClassId of a ClassField's holder
+    enum Kind : uint8_t { Any, Var, ClassField, Loose, Elem } kind;
+    uint32_t sym;  ///< VarId of a plain variable, field symbol id
+    uint32_t cls;  ///< ClassId of a ClassField's holder
+    bool operator==(const Key& o) const {
+      return kind == o.kind && sym == o.sym && cls == o.cls;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      Hasher h;
+      h.mix(static_cast<uint64_t>(k.kind) << 32 | k.sym);
+      h.mix(k.cls);
+      return h.value();
+    }
   };
 
-  /// Mirrors `analysis::may_alias`: two paths with different keys never
-  /// alias, except that Any aliases everything and a LooseField aliases
-  /// every field of the same name.
   static Key key_of(const Program& prog, const AccessPath& path) {
-    if (!path.root.valid()) return {};
+    if (!path.root.valid()) return {Key::Any, 0, 0};
     if (path.is_plain_var()) return {Key::Var, path.root.idx, 0};
     const cfg::Selector& sel = path.sels.back();
     if (sel.kind == cfg::Selector::Index) return {Key::Elem, 0, 0};
     const synl::TypeId holder = analysis::path_prefix_type(prog, path);
     if (holder.valid() && prog.type(holder).kind == synl::TypeKind::Ref)
       return {Key::ClassField, sel.field.id(), prog.type(holder).cls.idx};
-    return {Key::LooseField, sel.field.id(), 0};
+    return {Key::Loose, sel.field.id(), 0};
   }
 
-  static uint64_t pack(uint32_t field, uint32_t cls) {
-    return static_cast<uint64_t>(field) << 32 | cls;
-  }
-
-  template <class M, class K>
-  static const Bucket* find(const M& map, K key) {
-    auto it = map.find(key);
-    return it == map.end() ? nullptr : &it->second;
+  const Bucket* find(const Key& k) const {
+    auto it = buckets_.find(k);
+    return it == buckets_.end() ? nullptr : &it->second;
   }
 
   uint32_t size_ = 0;
-  Bucket any_;
-  Bucket elems_;
-  std::unordered_map<uint32_t, Bucket> vars_;
-  std::unordered_map<uint64_t, Bucket> class_fields_;
-  std::unordered_map<uint32_t, Bucket> loose_fields_;
-  std::unordered_map<uint32_t, Bucket> fields_;  ///< every entry per field
+  std::unordered_map<Key, Bucket, KeyHash> buckets_;
 };
 
 struct AccessPathHash {
@@ -344,8 +310,6 @@ class InferEngine {
   };
   std::vector<UniverseEntry> universe_;
   PathIndex universe_index_;  ///< positions in universe_, by event path
-  std::vector<const Region*> llsc_blocks_;  ///< every LL-SC block region
-  PathIndex llsc_index_;      ///< positions in llsc_blocks_, by svar
   mutable std::unordered_map<AccessPath, std::optional<Pred>, AccessPathHash>
       premise_memo_;
   mutable InferWork work_;
@@ -502,11 +466,6 @@ void InferEngine::build_universe() {
       universe_.push_back({&w, f});
       universe_index_.add(prog_, fe.path);
     }
-    for (const Region& r : w.regions) {
-      if (r.kind != Region::LLSCBlock) continue;
-      llsc_blocks_.push_back(&r);
-      llsc_index_.add(prog_, r.svar);
-    }
   }
 }
 
@@ -534,21 +493,20 @@ std::optional<Pred> InferEngine::llsc_premise(const AccessPath& svar) const {
 
 std::optional<Pred> InferEngine::eval_llsc_premise(
     const AccessPath& svar) const {
-  // Neither half depends on visiting order: any aliasing block with a
-  // trivial or a second distinct condition, or any aliasing update that is
-  // not an SC inside such a block, defeats the premise.
   std::optional<Pred> common;
-  bool ok = true;
-  llsc_index_.for_each_candidate(prog_, svar, [&](uint32_t pos) {
-    const Region& r = *llsc_blocks_[pos];
-    if (!may_alias(prog_, r.svar, svar)) return true;
-    if (r.cond == Pred::True || (common && *common != r.cond)) ok = false;
-    common = r.cond;
-    return ok;
-  });
-  if (!ok || !common) return std::nullopt;
+  for (const VariantCtx& w : vctx_) {
+    for (const Region& r : w.regions) {
+      if (r.kind != Region::LLSCBlock) continue;
+      if (!may_alias(prog_, r.svar, svar)) continue;
+      if (r.cond == Pred::True) return std::nullopt;
+      if (common && *common != r.cond) return std::nullopt;
+      common = r.cond;
+    }
+  }
+  if (!common) return std::nullopt;
 
   // Every global update of ~svar must be an SC inside an LL-SC block on it.
+  bool ok = true;
   universe_index_.for_each_candidate(prog_, svar, [&](uint32_t pos) {
     const UniverseEntry& u = universe_[pos];
     const Event& fe = u.ctx->pa->cfg().node(u.event);

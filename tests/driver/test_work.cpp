@@ -157,8 +157,9 @@ TEST(WorkCounters, ReplicatedNfqScalesLinearly) {
 
 // Mover classification visits only the conflict-universe entries that may
 // alias the classified access: twice the disjoint copies, exactly twice the
-// step-4 candidates (a scan of the whole universe per event would grow
-// 4x).
+// step-4 candidates. A scan of the whole universe per event visits 227,
+// 3,560 and 14,192; an index keyed on field names alone visits 540 at four
+// copies.
 TEST(WorkCounters, DisjointCopiesScaleStep4CandidatesLinearly) {
   const atomicity::InferWork one = infer_work(nfq_disjoint_copies(1));
   const atomicity::InferWork four = infer_work(nfq_disjoint_copies(4));
