@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "synat/driver/driver.h"
 #include "synat/interp/interp.h"
 #include "synat/obs/events.h"
+#include "synat/obs/export.h"
 #include "synat/obs/metrics.h"
 #include "synat/obs/obs.h"
 #include "synat/obs/trace.h"
@@ -178,13 +181,103 @@ double serve_rpc_ms(serve::Service& svc, const std::string& line, int reps) {
   return best;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
+/// Timed sweeps per side of each off/on comparison below.
+constexpr int kPairs = 30;
+/// Corpus copies in one overhead sweep: enough that a serial sweep takes
+/// well over 50 ms, so per-sweep jitter stays small against a 5% budget.
+constexpr int kSweepCopies = 10;
+constexpr int kResamples = 2000;
+
+/// The corpus repeated `copies` times under suffixed names.
+std::vector<driver::ProgramInput> repeated_inputs(int copies) {
+  std::vector<driver::ProgramInput> base = corpus_inputs(), out;
+  for (int k = 0; k < copies; ++k)
+    for (driver::ProgramInput in : base) {
+      in.name += '#';
+      in.name += std::to_string(k);
+      out.push_back(std::move(in));
+    }
   return out;
+}
+
+/// Wall-clock of one driver sweep (ms).
+double time_sweep(const driver::DriverOptions& opts,
+                  const std::vector<driver::ProgramInput>& inputs) {
+  auto t0 = std::chrono::steady_clock::now();
+  driver::BatchDriver drv(opts);
+  driver::BatchReport r = drv.run(inputs);
+  auto t1 = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(r.metrics.procedures);
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  size_t n = v.size();
+  return n % 2 != 0 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/// A median with its percentile-bootstrap 95% interval.
+struct Estimate {
+  double median = 0.0, lo = 0.0, hi = 0.0;
+};
+
+/// Bootstrap over a fixed-seed splitmix64 stream, so the same samples give
+/// the same interval on every run.
+Estimate bootstrap_median(const std::vector<double>& v) {
+  Estimate e;
+  e.median = median(v);
+  if (v.empty()) return e;
+  uint64_t state = 0x5eed;
+  auto next = [&state] {
+    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  std::vector<double> meds(kResamples), draw(v.size());
+  for (double& m : meds) {
+    for (double& d : draw) d = v[next() % v.size()];
+    m = median(draw);
+  }
+  std::sort(meds.begin(), meds.end());
+  e.lo = meds[kResamples / 40];
+  e.hi = meds[kResamples - 1 - kResamples / 40];
+  return e;
+}
+
+/// kPairs interleaved (off, on) sweeps. The side that runs first alternates
+/// from pair to pair, so a drift in machine speed charges both sides
+/// alike. Each pair gives one overhead ratio on/off - 1; off times are
+/// also appended to `off_all`.
+struct PairStats {
+  Estimate overhead;
+  double on_ms = 0.0;
+};
+PairStats time_pairs(const std::function<double()>& off,
+                     const std::function<double()>& on,
+                     std::vector<double>& off_all) {
+  std::vector<double> ratios, on_ms;
+  for (int i = 0; i < kPairs; ++i) {
+    double a = 0.0, b = 0.0;
+    if (i % 2 == 0) {
+      a = off();
+      b = on();
+    } else {
+      b = on();
+      a = off();
+    }
+    off_all.push_back(a);
+    on_ms.push_back(b);
+    ratios.push_back(b / a - 1.0);
+  }
+  return {bootstrap_median(ratios), median(on_ms)};
+}
+
+void print_estimate(std::FILE* f, const char* key, const Estimate& e) {
+  std::fprintf(f, "  \"%s\": %.4f,\n  \"%s_ci\": [%.4f, %.4f],\n", key,
+               e.median, key, e.lo, e.hi);
 }
 
 /// "model name" from /proc/cpuinfo — wall-clock numbers only mean anything
@@ -241,50 +334,65 @@ void emit_driver_json(const char* path) {
   parallel.jobs = kJobs;
   double parallel_ms = sweep_ms(parallel, inputs, nullptr, kReps);
 
-  // Cost of the observability layer: the same serial sweep with tracing and
-  // metrics collection enabled. serial_ms above is the tracing-disabled
-  // number (instrumentation compiled in, flags off) that the CI overhead
-  // gate compares against its recorded baseline.
-  obs::set_flags(obs::kTraceFlag | obs::kMetricsFlag);
-  double obs_enabled_ms = sweep_ms(serial, inputs, nullptr, kReps);
-  obs::set_flags(0);
-  obs::Tracer::instance().drain();  // discard spans from the timed sweep
+  // Costs of the optional instrumentation, each as kPairs interleaved
+  // off/on sweeps over the corpus repeated kSweepCopies times:
+  //  - obs: tracing and metrics on (DESIGN.md §3e);
+  //  - ring: one wide event per program rendered into the in-memory
+  //    flight recorder, no disk (the price of "postmortems are always
+  //    possible", DESIGN.md §3i);
+  //  - events: the same plus a JSONL write per program (--events-out);
+  //  - provenance: derivation records collected on every input (§3f).
+  // An off/off series gives the A/A noise floor: the overhead a change
+  // that costs nothing still shows on this machine. The off sweeps of all
+  // five series are the tracing- and provenance-disabled number that
+  // tools/check_overhead.py holds against its recorded baseline.
+  std::vector<driver::ProgramInput> sweep = repeated_inputs(kSweepCopies);
+  std::vector<driver::ProgramInput> prov_sweep = sweep;
+  for (driver::ProgramInput& in : prov_sweep) in.opts.provenance = true;
+  auto off = [&] { return time_sweep(serial, sweep); };
+  std::vector<double> off_ms;
+  off();  // warm-up
+
+  PairStats obs_on = time_pairs(
+      off,
+      [&] {
+        obs::set_flags(obs::kTraceFlag | obs::kMetricsFlag);
+        double ms = time_sweep(serial, sweep);
+        obs::set_flags(0);
+        obs::Tracer::instance().drain();  // keep the rings from wrapping
+        return ms;
+      },
+      off_ms);
   obs::registry().reset();
 
-  // Cost of the flight data (DESIGN.md §3i), split in two: the always-on
-  // ring (render one wide event per program into the in-memory recorder,
-  // no disk) and the full --events-out log (same render plus a JSONL
-  // write+flush per program). The ring number is the price of "postmortems
-  // are always possible"; the file number is what --events-out adds.
-  double recorder_only_ms;
-  {
-    obs::EventLogOptions ring;  // empty path: ring only
-    obs::EventLog ring_log(ring);
-    driver::DriverOptions with_ring = serial;
-    with_ring.events = &ring_log;
-    recorder_only_ms = sweep_ms(with_ring, inputs, nullptr, kReps);
-  }
-  double events_enabled_ms;
+  obs::EventLog ring_log(obs::EventLogOptions{});  // empty path: ring only
+  driver::DriverOptions with_ring = serial;
+  with_ring.events = &ring_log;
+  PairStats ring = time_pairs(
+      off, [&] { return time_sweep(with_ring, sweep); }, off_ms);
+
   const char* events_tmp = "bench_events_sweep.jsonl";
+  PairStats events;
   {
     obs::EventLogOptions file;
     file.path = events_tmp;
     obs::EventLog file_log(file);
     driver::DriverOptions with_events = serial;
     with_events.events = &file_log;
-    events_enabled_ms = sweep_ms(with_events, inputs, nullptr, kReps);
+    events = time_pairs(
+        off, [&] { return time_sweep(with_events, sweep); }, off_ms);
   }
   std::remove(events_tmp);
   obs::registry().reset();  // discard the event-latency histograms
 
-  // Cost of provenance collection (DESIGN.md §3f): the same serial sweep
-  // with derivation records collected and attached on every input.
-  // serial_ms above is the provenance-disabled number the <1% CI gate
-  // (tools/check_overhead.py --prov-budget) holds against its baseline.
-  std::vector<driver::ProgramInput> prov_inputs = inputs;
-  for (driver::ProgramInput& in : prov_inputs) in.opts.provenance = true;
-  double prov_enabled_ms = sweep_ms(serial, prov_inputs, nullptr, kReps);
+  PairStats prov = time_pairs(
+      off, [&] { return time_sweep(serial, prov_sweep); }, off_ms);
   obs::registry().reset();  // discard the volume counters of the timed sweep
+
+  PairStats aa = time_pairs(off, off, off_ms);
+  const double noise_floor =
+      std::max(std::fabs(aa.overhead.lo), std::fabs(aa.overhead.hi));
+  const Estimate sweep_off = bootstrap_median(off_ms);
 
   // Same sweep through sandboxed one-shot workers (fork per program,
   // rlimits, framed pipes). The ratio against the in-process parallel run
@@ -353,6 +461,9 @@ void emit_driver_json(const char* path) {
       warm_total == 0 ? 0.0
                       : static_cast<double>(warm_hits) /
                             static_cast<double>(warm_total);
+  std::string cpu, kernel;
+  obs::append_json_escaped(cpu, cpu_model());
+  obs::append_json_escaped(kernel, kernel_version());
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -362,12 +473,11 @@ void emit_driver_json(const char* path) {
                "{\n"
                "  \"bench\": \"driver_corpus_sweep\",\n"
                "  \"host\": {\n"
-               "    \"cpu_model\": \"%s\",\n"
-               "    \"kernel\": \"%s\"\n"
+               "    \"cpu_model\": %s,\n"
+               "    \"kernel\": %s\n"
                "  },\n"
                "  \"hardware_concurrency\": %u,\n",
-               json_escape(cpu_model()).c_str(),
-               json_escape(kernel_version()).c_str(), hw);
+               cpu.c_str(), kernel.c_str(), hw);
   std::fprintf(f,
                "  \"programs\": %zu,\n"
                "  \"procedures\": %zu,\n"
@@ -388,14 +498,27 @@ void emit_driver_json(const char* path) {
   std::fprintf(f,
                "  \"procs_per_sec_serial\": %.1f,\n"
                "  \"procs_per_sec_parallel\": %.1f,\n"
+               "  \"overhead_pairs\": %d,\n"
+               "  \"overhead_sweep_programs\": %zu,\n"
+               "  \"overhead_bootstrap_resamples\": %d,\n",
+               serial_ms > 0 ? procs * 1000.0 / serial_ms : 0.0,
+               parallel_ms > 0 ? procs * 1000.0 / parallel_ms : 0.0, kPairs,
+               sweep.size(), kResamples);
+  print_estimate(f, "overhead_sweep_ms", sweep_off);
+  print_estimate(f, "obs_enabled_overhead", obs_on.overhead);
+  print_estimate(f, "recorder_only_overhead", ring.overhead);
+  print_estimate(f, "events_overhead", events.overhead);
+  print_estimate(f, "provenance_overhead", prov.overhead);
+  print_estimate(f, "aa_overhead", aa.overhead);
+  std::fprintf(f,
+               "  \"noise_floor\": %.4f,\n"
                "  \"obs_enabled_ms\": %.3f,\n"
-               "  \"obs_enabled_overhead\": %.3f,\n"
                "  \"recorder_only_ms\": %.3f,\n"
-               "  \"recorder_only_overhead\": %.3f,\n"
                "  \"events_enabled_ms\": %.3f,\n"
-               "  \"events_overhead\": %.3f,\n"
-               "  \"provenance_enabled_ms\": %.3f,\n"
-               "  \"provenance_overhead\": %.3f,\n"
+               "  \"provenance_enabled_ms\": %.3f,\n",
+               noise_floor, obs_on.on_ms, ring.on_ms, events.on_ms,
+               prov.on_ms);
+  std::fprintf(f,
                "  \"isolate_ms\": %.3f,\n"
                "  \"isolate_overhead\": %.3f,\n"
                "  \"isolate_per_program_ms\": %.3f,\n"
@@ -407,16 +530,6 @@ void emit_driver_json(const char* path) {
                "  \"serve_warm_rpc_ms\": %.3f,\n"
                "  \"serve_sandbox_rpc_ms\": %.3f\n"
                "}\n",
-               serial_ms > 0 ? procs * 1000.0 / serial_ms : 0.0,
-               parallel_ms > 0 ? procs * 1000.0 / parallel_ms : 0.0,
-               obs_enabled_ms,
-               serial_ms > 0 ? obs_enabled_ms / serial_ms - 1.0 : 0.0,
-               recorder_only_ms,
-               serial_ms > 0 ? recorder_only_ms / serial_ms - 1.0 : 0.0,
-               events_enabled_ms,
-               serial_ms > 0 ? events_enabled_ms / serial_ms - 1.0 : 0.0,
-               prov_enabled_ms,
-               serial_ms > 0 ? prov_enabled_ms / serial_ms - 1.0 : 0.0,
                isolate_ms,
                parallel_ms > 0 ? isolate_ms / parallel_ms - 1.0 : 0.0,
                per_program_ms, cold_ms,
@@ -424,12 +537,15 @@ void emit_driver_json(const char* path) {
                serve_cold_rpc_ms, serve_warm_rpc_ms, serve_sandbox_rpc_ms);
   std::fclose(f);
   std::printf("wrote %s (serial %.1fms, --jobs %u %.1fms, --isolate %.1fms, "
-              "obs on %.1fms, ring %.1fms, events %.1fms, warm cache %.1fms, "
-              "hit rate %.0f%%, "
+              "overhead sweep %.1fms: obs %+.1f%%, ring %+.1f%%, events "
+              "%+.1f%%, provenance %+.1f%%, A/A floor %.1f%%; warm cache "
+              "%.1fms, hit rate %.0f%%, "
               "serve rpc %.2fms cold / %.2fms warm / %.2fms sandboxed)\n",
-              path, serial_ms, kJobs, parallel_ms, isolate_ms, obs_enabled_ms,
-              recorder_only_ms, events_enabled_ms,
-              warm_ms, hit_rate * 100, serve_cold_rpc_ms, serve_warm_rpc_ms,
+              path, serial_ms, kJobs, parallel_ms, isolate_ms,
+              sweep_off.median, obs_on.overhead.median * 100,
+              ring.overhead.median * 100, events.overhead.median * 100,
+              prov.overhead.median * 100, noise_floor * 100, warm_ms,
+              hit_rate * 100, serve_cold_rpc_ms, serve_warm_rpc_ms,
               serve_sandbox_rpc_ms);
 }
 
