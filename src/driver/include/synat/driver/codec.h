@@ -59,9 +59,11 @@ bool get_program_report(Reader& in, ProgramReport& r);
 /// Telemetry payload (worker Telemetry frame unit): the spans a worker
 /// collected plus its registry delta since fork. Span lanes are not
 /// encoded — the supervisor assigns the lane when it injects the spans.
-/// Counts are sanity-capped (kMaxTelemetrySpans / kMaxTelemetryMetrics)
-/// and the histogram bucket count must match obs::Histogram::kBuckets, so
-/// a corrupt frame fails decode instead of driving a giant allocation.
+/// Histograms travel as their sparse (index, count) pairs plus sum_ns.
+/// Counts are sanity-capped (kMaxTelemetrySpans / kMaxTelemetryMetrics),
+/// and a bucket index must be below obs::Log2Histogram::kBuckets and above
+/// the one before it, so a corrupt frame fails decode instead of driving a
+/// giant allocation or a double count.
 inline constexpr uint64_t kMaxTelemetrySpans = uint64_t{1} << 22;
 inline constexpr uint64_t kMaxTelemetryMetrics = uint64_t{1} << 16;
 void put_telemetry(std::string& out, const std::vector<obs::SpanRecord>& spans,

@@ -49,8 +49,6 @@ struct DriverOptions {
   unsigned jobs = 1;
   /// Memoize per-procedure reports in `cache` (or an internal cache).
   bool use_cache = false;
-  /// Record per-stage wall times (adds clock calls on the hot path).
-  bool collect_timings = false;
   /// Wall-clock deadline per program in milliseconds; 0 disables it. It
   /// caps the program's one engine run (and, with the cache on, its
   /// fingerprint pass). On a trip every procedure the engine was
@@ -84,7 +82,8 @@ struct DriverOptions {
   bool resume = false;
   /// Wide-event sink (DESIGN.md §3i): when set, run() appends one event
   /// per program, in input order, after the report is assembled. Not owned.
-  /// Enabling events also enables per-program stage timing.
+  /// Enabling events also times each program's parse/analyze/report stages
+  /// (clock reads even with the obs flags off).
   obs::EventLog* events = nullptr;
 };
 
@@ -116,11 +115,17 @@ class BatchDriver {
     size_t misses = 0;
   };
 
+  /// One program's stage wall times (ns): its wide event's fields.
+  struct StageTally {
+    uint64_t parse_ns = 0;
+    uint64_t analyze_ns = 0;
+    uint64_t report_ns = 0;
+  };
+
+  /// `tally` is null unless a wide-event sink is attached; only this
+  /// program's task writes it.
   CacheCounts run_program_task(const ProgramInput& input, size_t index,
-                               ReportSink& sink);
-  /// Stage timing is collected when asked for (--timings) or whenever a
-  /// wide-event sink needs per-program latencies.
-  bool timed() const { return opts_.collect_timings || opts_.events != nullptr; }
+                               ReportSink& sink, StageTally* tally);
 
   DriverOptions opts_;
   ResultCache* cache_;

@@ -3,7 +3,9 @@
 // The writer is append-only and key order is exactly the call order, so two
 // runs that produce the same logical report produce byte-identical documents
 // (the determinism contract `synat batch --jobs N` is tested against).
-// No DOM, no parsing: report shapes are known statically.
+// No DOM, no parsing: report shapes are known statically. Strings are
+// escaped by obs::append_json_escaped, the one escaper every JSON output
+// shares.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +14,6 @@
 #include <vector>
 
 namespace synat::driver {
-
-/// Escapes `s` per RFC 8259 (quotes, backslash, control characters).
-std::string json_escape(std::string_view s);
 
 /// Streaming writer with automatic comma insertion. Usage:
 ///

@@ -8,7 +8,6 @@
 // --jobs settings.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -106,22 +105,6 @@ struct ProgramReport {
   bool all_atomic() const;
 };
 
-/// Power-of-two latency histogram: bucket i counts durations in
-/// [2^i, 2^(i+1)) nanoseconds. Fixed 40 buckets cover ~18 minutes.
-struct LatencyHistogram {
-  static constexpr size_t kBuckets = 40;
-  uint64_t count[kBuckets] = {};
-  uint64_t total_ns = 0;
-  uint64_t samples = 0;
-
-  void record(uint64_t ns);
-  void merge(const LatencyHistogram& other);
-};
-
-/// Names the pipeline stages the driver times.
-enum class Stage : uint8_t { Parse, Analyze, Report, COUNT };
-std::string_view to_string(Stage s);
-
 struct Metrics {
   size_t programs = 0;
   size_t procedures = 0;
@@ -140,11 +123,11 @@ struct Metrics {
   size_t journal_replayed = 0;  ///< programs served from the journal
   size_t journal_rejected = 0;  ///< journals/records rejected as corrupt/stale
   size_t jobs = 0;
-  LatencyHistogram stage[static_cast<size_t>(Stage::COUNT)];
   /// Registry delta for this run (obs counters/gauges/histograms), filled
   /// by BatchDriver::run. The deterministic counters feed the report's
-  /// "counters" section (RenderOptions::counters); the rest only reach the
-  /// Prometheus exporter.
+  /// "counters" section (RenderOptions::counters) and the parse/analyze/
+  /// report stage histograms its "stages" section (RenderOptions::timings);
+  /// the rest only reach the Prometheus exporter.
   obs::MetricsSnapshot telemetry;
 };
 
@@ -167,7 +150,8 @@ struct BatchReport {
 };
 
 struct RenderOptions {
-  /// Include the per-stage wall-time histograms in the metrics block.
+  /// Include the per-stage wall-time histograms in the metrics block. They
+  /// come from Metrics::telemetry, so the run needs obs::kMetricsFlag on.
   /// Off by default so default output is byte-deterministic across runs.
   bool timings = false;
   /// Include the deterministic obs counters (schema v4 "counters" section).
@@ -226,14 +210,6 @@ class ReportSink {
   /// Publishes a whole program at once: a journal replay or a decoded
   /// worker result. Does not fire the completion callback.
   void set_program(size_t i, ProgramReport report);
-  void add_stage_time(Stage s, uint64_t ns);
-  /// Accumulates `ns` against program `i`'s own stage tally (the wide
-  /// event's parse/analyze/report fields) as well as the batch histogram.
-  void add_stage_time(size_t i, Stage s, uint64_t ns);
-  /// Per-program accumulated stage wall times (ns), indexed by Stage.
-  /// Consumed by the driver's event emission; valid after finish() too.
-  std::array<uint64_t, static_cast<size_t>(Stage::COUNT)> program_stage_ns(
-      size_t i) const;
 
   /// Assembles the final report. Call after the pool is idle.
   BatchReport finish(const Metrics& counters, size_t jobs);
@@ -245,8 +221,6 @@ class ReportSink {
   std::vector<ProgramReport> programs_;
   std::vector<size_t> procs_pending_;  ///< unfilled slots per open program
   std::vector<bool> completed_;        ///< completion callback already fired
-  std::vector<std::array<uint64_t, static_cast<size_t>(Stage::COUNT)>>
-      stage_ns_;                       ///< per-program stage tallies
   CompletionFn on_complete_;
   Metrics metrics_;
 };

@@ -203,12 +203,15 @@ void put_telemetry(std::string& out, const std::vector<obs::SpanRecord>& spans,
     put_u64(out, c.value);
     put_u32(out, c.deterministic ? 1 : 0);
   }
-  put_u64(out, delta.histograms.size());
-  for (const obs::HistogramSample& h : delta.histograms) {
+  put_u64(out, delta.summaries.size());
+  for (const obs::Log2Sample& h : delta.summaries) {
     put_str(out, h.name);
-    put_u32(out, static_cast<uint32_t>(obs::Histogram::kBuckets));
-    for (uint64_t b : h.buckets) put_u64(out, b);
     put_u64(out, h.sum_ns);
+    put_u64(out, h.buckets.size());
+    for (const auto& [idx, n] : h.buckets) {
+      put_u32(out, idx);
+      put_u64(out, n);
+    }
   }
 }
 
@@ -236,14 +239,21 @@ bool get_telemetry(Reader& in, std::vector<obs::SpanRecord>& spans,
   }
   uint64_t nh = 0;
   if (!in.get_u64(nh) || nh > kMaxTelemetryMetrics) return false;
-  delta.histograms.resize(nh);
-  for (obs::HistogramSample& h : delta.histograms) {
-    if (!in.get_str(h.name) || !in.get_u32(w) || w != obs::Histogram::kBuckets)
+  delta.summaries.assign(nh, obs::Log2Sample{});
+  for (obs::Log2Sample& h : delta.summaries) {
+    if (!in.get_str(h.name) || !in.get_u64(h.sum_ns) || !in.get_u64(u) ||
+        u > obs::Log2Histogram::kBuckets)
       return false;
-    for (uint64_t& b : h.buckets)
-      if (!in.get_u64(b)) return false;
-    if (!in.get_u64(u)) return false;
-    h.sum_ns = u;
+    h.buckets.resize(u);
+    for (size_t i = 0; i < h.buckets.size(); ++i) {
+      auto& [idx, n] = h.buckets[i];
+      // Sparse pairs are index-sorted and unique, like Registry::snapshot().
+      if (!in.get_u32(idx) || idx >= obs::Log2Histogram::kBuckets ||
+          (i > 0 && idx <= h.buckets[i - 1].first) || !in.get_u64(n) ||
+          h.count + n < h.count)
+        return false;
+      h.count += n;
+    }
   }
   return true;
 }

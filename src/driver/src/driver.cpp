@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #ifdef __GLIBC__
@@ -24,45 +23,6 @@
 namespace synat::driver {
 
 namespace {
-
-uint64_t now_ns() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-obs::StageId obs_stage(Stage s) {
-  switch (s) {
-    case Stage::Parse: return obs::StageId::Parse;
-    case Stage::Analyze: return obs::StageId::Analyze;
-    case Stage::Report: return obs::StageId::Report;
-    case Stage::COUNT: break;
-  }
-  return obs::StageId::Parse;
-}
-
-/// RAII stage timer; no clock calls unless timing collection is on. The
-/// embedded SpanScope gates itself on the obs flags independently. Times
-/// are charged both to the batch histograms and to program `index`'s own
-/// tally (the wide event's parse/analyze/report fields).
-class StageTimer {
- public:
-  StageTimer(ReportSink& sink, size_t index, Stage stage, bool enabled)
-      : span_(obs_stage(stage)), sink_(sink), index_(index), stage_(stage),
-        enabled_(enabled), start_(enabled ? now_ns() : 0) {}
-  ~StageTimer() {
-    if (enabled_) sink_.add_stage_time(index_, stage_, now_ns() - start_);
-  }
-
- private:
-  obs::SpanScope span_;
-  ReportSink& sink_;
-  size_t index_;
-  Stage stage_;
-  bool enabled_;
-  uint64_t start_;
-};
 
 std::string hex64(uint64_t v) {
   static const char* digits = "0123456789abcdef";
@@ -220,11 +180,13 @@ BatchDriver::BatchDriver(DriverOptions opts, ResultCache* cache)
 BatchDriver::~BatchDriver() = default;
 
 BatchDriver::CacheCounts BatchDriver::run_program_task(
-    const ProgramInput& input, size_t index, ReportSink& sink) {
+    const ProgramInput& input, size_t index, ReportSink& sink,
+    StageTally* tally) {
   CacheCounts counts;
   DiagEngine diags;
   synl::FrontEnd fe = [&] {
-    StageTimer t(sink, index, Stage::Parse, timed());
+    obs::SpanScope span(obs::StageId::Parse,
+                        tally ? &tally->parse_ns : nullptr);
     return synl::parse_and_recover(input.source, diags);
   }();
   synl::Program& prog = fe.prog;
@@ -320,7 +282,8 @@ BatchDriver::CacheCounts BatchDriver::run_program_task(
     atomicity::AtomicityResult result;
     try {
       result = [&] {
-        StageTimer ta(sink, index, Stage::Analyze, timed());
+        obs::SpanScope span(obs::StageId::Analyze,
+                            tally ? &tally->analyze_ns : nullptr);
         return atomicity::infer_atomicity(prog, diags, iopts);
       }();
     } catch (const BudgetExceeded& e) {
@@ -338,7 +301,8 @@ BatchDriver::CacheCounts BatchDriver::run_program_task(
       publish();
       return counts;
     }
-    StageTimer tr(sink, index, Stage::Report, timed());
+    obs::SpanScope report_span(obs::StageId::Report,
+                               tally ? &tally->report_ns : nullptr);
     std::vector<DiagReport> over_budget;  // --strict escalations
     for (size_t p = 0; p < num_procs; ++p) {
       if (reports[p] != nullptr) continue;
@@ -373,6 +337,8 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
                       : opts_.jobs;
   ReportSink sink(inputs.size());
   Metrics counters;
+  // Per-program stage times, kept only for the wide events' fields.
+  std::vector<StageTally> tallies(opts_.events != nullptr ? inputs.size() : 0);
   // The run's registry delta starts here: everything the batch increments
   // (in-process or merged back from workers) minus what previous runs in
   // this process already counted.
@@ -466,9 +432,11 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     ThreadPool pool(jobs <= 1 ? 0 : jobs);
     for (size_t i = 0; i < inputs.size(); ++i) {
       if (done[i]) continue;
-      pool.submit([this, &inputs, i, &sink, &cache_hits, &cache_misses] {
+      StageTally* tally = tallies.empty() ? nullptr : &tallies[i];
+      pool.submit([this, &inputs, i, &sink, tally, &cache_hits,
+                   &cache_misses] {
         try {
-          CacheCounts c = run_program_task(inputs[i], i, sink);
+          CacheCounts c = run_program_task(inputs[i], i, sink, tally);
           cache_hits += c.hits;
           cache_misses += c.misses;
         } catch (const std::exception& e) {
@@ -512,10 +480,9 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
       const ProgramReport& pr = out.programs[i];
       obs::Event ev = program_event(pr);
       if (ev.name.empty()) ev.name = inputs[i].name;
-      const auto stages = sink.program_stage_ns(i);
-      ev.parse_ns = stages[static_cast<size_t>(Stage::Parse)];
-      ev.analyze_ns = stages[static_cast<size_t>(Stage::Analyze)];
-      ev.report_ns = stages[static_cast<size_t>(Stage::Report)];
+      ev.parse_ns = tallies[i].parse_ns;
+      ev.analyze_ns = tallies[i].analyze_ns;
+      ev.report_ns = tallies[i].report_ns;
       ev.dur_ns = ev.parse_ns + ev.analyze_ns + ev.report_ns;
       if (pr.status == ProgramStatus::Degraded)
         ev.deaths_crash = 1;  // supervisor collapses the cause; see §3d

@@ -1,7 +1,6 @@
 #include "synat/driver/report.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "synat/driver/json.h"
 
@@ -18,35 +17,11 @@ std::string_view to_string(ProgramStatus s) {
   return "?";
 }
 
-std::string_view to_string(Stage s) {
-  switch (s) {
-    case Stage::Parse: return "parse";
-    case Stage::Analyze: return "analyze";
-    case Stage::Report: return "report";
-    case Stage::COUNT: break;
-  }
-  return "?";
-}
-
 bool ProgramReport::all_atomic() const {
   if (status != ProgramStatus::Ok) return false;
   for (const auto& p : procs)
     if (!p || !p->atomic) return false;
   return true;
-}
-
-void LatencyHistogram::record(uint64_t ns) {
-  size_t bucket = ns == 0 ? 0 : static_cast<size_t>(std::bit_width(ns) - 1);
-  if (bucket >= kBuckets) bucket = kBuckets - 1;
-  ++count[bucket];
-  total_ns += ns;
-  ++samples;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (size_t i = 0; i < kBuckets; ++i) count[i] += other.count[i];
-  total_ns += other.total_ns;
-  samples += other.samples;
 }
 
 size_t BatchReport::procs_not_atomic() const {
@@ -117,7 +92,6 @@ ReportSink::ReportSink(size_t num_programs) {
   programs_.resize(num_programs);
   procs_pending_.resize(num_programs, 0);
   completed_.resize(num_programs, false);
-  stage_ns_.resize(num_programs);
 }
 
 void ReportSink::set_on_complete(CompletionFn fn) {
@@ -180,23 +154,6 @@ void ReportSink::set_program(size_t i, ProgramReport report) {
   completed_.at(i) = true;
 }
 
-void ReportSink::add_stage_time(Stage s, uint64_t ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_.stage[static_cast<size_t>(s)].record(ns);
-}
-
-void ReportSink::add_stage_time(size_t i, Stage s, uint64_t ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_.stage[static_cast<size_t>(s)].record(ns);
-  stage_ns_.at(i)[static_cast<size_t>(s)] += ns;
-}
-
-std::array<uint64_t, static_cast<size_t>(Stage::COUNT)>
-ReportSink::program_stage_ns(size_t i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stage_ns_.at(i);
-}
-
 BatchReport ReportSink::finish(const Metrics& counters, size_t jobs) {
   std::lock_guard<std::mutex> lock(mu_);
   BatchReport out;
@@ -243,17 +200,18 @@ BatchReport ReportSink::finish(const Metrics& counters, size_t jobs) {
 
 namespace {
 
-void emit_histogram(JsonWriter& w, const LatencyHistogram& h) {
+/// One stage's wall-time histogram: the occupied log2 buckets, each under
+/// its inclusive upper bound in ns.
+void emit_histogram(JsonWriter& w, const obs::Log2Sample& h) {
   w.begin_object();
-  w.key("samples").value(h.samples);
-  w.key("total_ns").value(h.total_ns);
-  w.key("mean_ns").value(h.samples == 0 ? uint64_t{0} : h.total_ns / h.samples);
+  w.key("samples").value(h.count);
+  w.key("total_ns").value(h.sum_ns);
+  w.key("mean_ns").value(h.count == 0 ? uint64_t{0} : h.sum_ns / h.count);
   w.key("buckets").begin_array();
-  for (size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (h.count[i] == 0) continue;
+  for (const auto& [idx, n] : h.buckets) {
     w.begin_object();
-    w.key("le_ns").value(uint64_t{1} << (i + 1));
-    w.key("count").value(h.count[i]);
+    w.key("le_ns").value(obs::Log2Histogram::bucket_bound(idx));
+    w.key("count").value(n);
     w.end_object();
   }
   w.end_array();
@@ -291,9 +249,14 @@ void emit_metrics(JsonWriter& w, const BatchReport& r,
   }
   if (opts.timings) {
     w.key("stages").begin_object();
-    for (size_t s = 0; s < static_cast<size_t>(Stage::COUNT); ++s) {
-      w.key(to_string(static_cast<Stage>(s)));
-      emit_histogram(w, r.metrics.stage[s]);
+    for (obs::StageId s :
+         {obs::StageId::Parse, obs::StageId::Analyze, obs::StageId::Report}) {
+      const std::string name = obs::stage_metric_name(s);
+      obs::Log2Sample sample;
+      for (const obs::Log2Sample& h : r.metrics.telemetry.summaries)
+        if (h.name == name) sample = h;
+      w.key(obs::stage_name(s));
+      emit_histogram(w, sample);
     }
     w.end_object();
   }

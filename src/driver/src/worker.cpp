@@ -104,7 +104,6 @@ int worker_body(int out_fd, const ProgramInput& input, unsigned attempt,
   sub.jobs = 1;
   sub.isolate = false;
   sub.use_cache = cache != nullptr;
-  sub.collect_timings = false;
   sub.journal_path.clear();
   sub.resume = false;
   if (cache != nullptr) cache->start_capture();

@@ -28,14 +28,14 @@ std::string to_chrome_trace(
 /// Renders a snapshot in Prometheus text exposition format. Counters gain
 /// a "_total" suffix if missing; nondeterministic counters carry
 /// "(nondeterministic)" in their HELP line so CI comparators can skip them.
-/// Histograms render cumulative `_bucket{le="..."}` series with bounds in
-/// seconds; log2 summaries render as `summary` families with p50/p95/p99
-/// quantiles in seconds.
+/// Every histogram renders as a `summary` family: p50/p95/p99 quantiles,
+/// then `_sum` and `_count`, all durations in seconds.
 std::string to_prometheus(const MetricsSnapshot& snap);
 
-/// Appends `s` as a JSON string literal (quotes included) with the minimal
-/// escaping the exporters share. obs cannot use the driver's JsonWriter
-/// (driver links against obs, not the other way around).
+/// Appends `s` as a JSON string literal (quotes included), escaped per
+/// RFC 8259: `"` and `\`, the short forms \b \f \n \r \t, and \u00XX
+/// for every other control byte. Bytes from 0x20 up (UTF-8 included) pass
+/// through. The one escaper: reports, RPC replies, events and traces.
 void append_json_escaped(std::string& out, std::string_view s);
 
 /// Writes `content` to `path` (binary, truncate). Returns false and fills

@@ -1,4 +1,4 @@
-// Process-wide metrics registry: counters, gauges, and fixed-bound
+// Process-wide metrics registry: counters, gauges, and log2 duration
 // histograms, unifying the driver's formerly scattered stderr counters
 // (cache hits/rejections, journal replay, worker retries, watchdog trips)
 // behind one exportable surface.
@@ -47,53 +47,25 @@ class Gauge {
   std::atomic<uint64_t> v_{0};
 };
 
-/// Duration histogram with fixed bucket bounds (ns): 1µs, 10µs, 100µs,
-/// 1ms, 10ms, 100ms, 1s, 10s, +Inf. Fixed bounds keep every exporter and
-/// the worker-telemetry merge trivially well defined.
-class Histogram {
- public:
-  static constexpr size_t kBuckets = 9;
-  static const uint64_t kBounds[kBuckets - 1];  ///< upper bounds, last is +Inf
-
-  void observe(uint64_t ns) {
-    size_t b = 0;
-    while (b < kBuckets - 1 && ns > kBounds[b]) ++b;
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
-    sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void add(const uint64_t counts[kBuckets], uint64_t sum_ns) {
-    for (size_t i = 0; i < kBuckets; ++i)
-      buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
-    sum_ns_.fetch_add(sum_ns, std::memory_order_relaxed);
-  }
-  uint64_t bucket(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  uint64_t sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
-  uint64_t count() const {
-    uint64_t n = 0;
-    for (size_t i = 0; i < kBuckets; ++i) n += bucket(i);
-    return n;
-  }
-  /// In-place zeroing (Registry::reset) — cached references stay valid.
-  void reset() {
-    for (size_t i = 0; i < kBuckets; ++i)
-      buckets_[i].store(0, std::memory_order_relaxed);
-    sum_ns_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> buckets_[kBuckets] = {};
-  std::atomic<uint64_t> sum_ns_{0};
+/// Sparse sample of a Log2Histogram: only occupied buckets, index-sorted.
+struct Log2Sample {
+  std::string name;
+  std::vector<std::pair<uint32_t, uint64_t>> buckets;  ///< (index, count)
+  uint64_t sum_ns = 0;
+  uint64_t count = 0;
+  /// Value (ns) at quantile q in [0,1]: the bound of the first bucket whose
+  /// cumulative count reaches q * count. 0 when empty.
+  uint64_t quantile_ns(double q) const;
 };
 
-/// High-resolution latency histogram: log2 buckets subdivided 32 ways
-/// (values below 32ns are exact; above, the top 5 bits after the leading
-/// one select the sub-bucket), giving ~3% relative quantile error across
-/// the full uint64 nanosecond range in 1920 fixed buckets. This is the
-/// percentile source for serve/driver latency (p50/p95/p99 in `/metrics`
-/// and the status RPC); quantiles of wall-clock latency are inherently
-/// nondeterministic and never enter the report.
+/// The one duration histogram: log2 buckets subdivided 32 ways (values
+/// below 32ns are exact; above, the top 5 bits after the leading one
+/// select the sub-bucket), giving ~3% relative quantile error across the
+/// full uint64 nanosecond range in 1920 fixed buckets. It backs the
+/// per-stage span durations and the serve/driver latency sources alike
+/// (p50/p95/p99 in `/metrics` and the status RPC). Quantiles and sums of
+/// wall-clock durations are nondeterministic and never enter the default
+/// report; a stage's count is a pure function of the inputs.
 class Log2Histogram {
  public:
   static constexpr uint32_t kSubBits = 5;
@@ -117,38 +89,46 @@ class Log2Histogram {
   }
 
   void observe(uint64_t ns) {
-    buckets_[bucket_index(ns)].fetch_add(1, std::memory_order_relaxed);
-    sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    add_bucket(bucket_index(ns), 1);
+    add_sum(ns);
   }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// Sum of the bucket counts; walks the occupied buckets. Keeping no
+  /// separate count atomic leaves observe() at two RMWs.
+  uint64_t count() const { return sample().count; }
   uint64_t sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
   uint64_t bucket(uint32_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
 
-  /// Value (ns) at quantile q in [0,1]: the bound of the first bucket whose
-  /// cumulative count reaches q * count. 0 when empty.
-  uint64_t quantile_ns(double q) const;
+  /// The occupied buckets as a sparse sample named `name`; its count is
+  /// their sum. The walk visits only the buckets the occupancy bitmap
+  /// marks, so it costs what was hit, not kBuckets, and nothing for an
+  /// empty histogram.
+  Log2Sample sample(std::string name = {}) const;
+  uint64_t quantile_ns(double q) const { return sample().quantile_ns(q); }
 
   void add_bucket(uint32_t idx, uint64_t n) {
     if (idx >= kBuckets || n == 0) return;
     buckets_[idx].fetch_add(n, std::memory_order_relaxed);
-    count_.fetch_add(n, std::memory_order_relaxed);
+    // Set once per bucket: after the first hit this is a plain load.
+    std::atomic<uint64_t>& word = occupied_[idx / 64];
+    const uint64_t bit = uint64_t{1} << (idx % 64);
+    if ((word.load(std::memory_order_relaxed) & bit) == 0)
+      word.fetch_or(bit, std::memory_order_relaxed);
   }
   void add_sum(uint64_t sum_ns) {
     sum_ns_.fetch_add(sum_ns, std::memory_order_relaxed);
   }
   void reset() {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+    for (auto& w : occupied_) w.store(0, std::memory_order_relaxed);
     sum_ns_.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
   }
 
  private:
   std::atomic<uint64_t> buckets_[kBuckets] = {};
+  std::atomic<uint64_t> occupied_[kBuckets / 64] = {};  ///< bit per bucket
   std::atomic<uint64_t> sum_ns_{0};
-  std::atomic<uint64_t> count_{0};
 };
 
 // Point-in-time samples; the unit of export, wire transfer, and merging.
@@ -161,37 +141,22 @@ struct GaugeSample {
   std::string name;
   uint64_t value = 0;
 };
-struct HistogramSample {
-  std::string name;
-  uint64_t buckets[Histogram::kBuckets] = {};
-  uint64_t sum_ns = 0;
-  uint64_t count() const {
-    uint64_t n = 0;
-    for (uint64_t b : buckets) n += b;
-    return n;
-  }
-};
-/// Sparse sample of a Log2Histogram: only occupied buckets, index-sorted.
-struct Log2Sample {
-  std::string name;
-  std::vector<std::pair<uint32_t, uint64_t>> buckets;  ///< (index, count)
-  uint64_t sum_ns = 0;
-  uint64_t count = 0;
-  uint64_t quantile_ns(double q) const;
-};
-
 /// A full registry snapshot (all vectors sorted by name) or, equally, a
 /// delta between two snapshots — the difference is only how it was made.
 struct MetricsSnapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
   std::vector<Log2Sample> summaries;
 
   /// this − base, per metric name (names missing from base count from 0).
   /// Gauges are carried over as-is: a gauge is a level, not an increment.
   MetricsSnapshot delta_from(const MetricsSnapshot& base) const;
 };
+
+/// The registry name of stage `s`'s duration histogram:
+/// "synat_<category>_<stage>_duration_seconds" (observed in ns, exported in
+/// seconds).
+std::string stage_metric_name(StageId s);
 
 class Registry {
  public:
@@ -201,14 +166,13 @@ class Registry {
   /// later calls with a different flag keep the original.
   Counter& counter(std::string_view name, bool deterministic = true);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
   Log2Histogram& log2_histogram(std::string_view name);
 
-  /// The per-stage duration histogram
-  /// ("synat_pipeline_parse_duration_seconds",
-  /// "synat_driver_dispatch_duration_seconds", ...; observed in ns,
-  /// exported in seconds). Array-indexed: hot path.
-  Histogram& stage_histogram(StageId s) { return *stage_hist_[static_cast<size_t>(s)]; }
+  /// The per-stage duration histogram, named by stage_metric_name().
+  /// Array-indexed: hot path.
+  Log2Histogram& stage_histogram(StageId s) {
+    return *stage_hist_[static_cast<size_t>(s)];
+  }
 
   MetricsSnapshot snapshot() const;
   /// Adds a delta (decoded worker telemetry) into this registry's
@@ -229,10 +193,9 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<CounterEntry>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<Log2Histogram>, std::less<>>
       summaries_;
-  Histogram* stage_hist_[kNumStages] = {};
+  Log2Histogram* stage_hist_[kNumStages] = {};
 };
 
 inline Registry& registry() { return Registry::instance(); }

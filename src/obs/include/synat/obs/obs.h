@@ -3,8 +3,9 @@
 // tracer and the metrics registry.
 //
 // Everything here is built to be compiled in unconditionally and cost
-// nothing when disabled: a SpanScope whose flags are off performs exactly
-// one relaxed atomic load and no clock read; counters are single relaxed
+// nothing when disabled: a SpanScope whose flags are off (and that keeps
+// no per-program tally) performs exactly one relaxed atomic load and no
+// clock read; counters are single relaxed
 // atomic increments and are always on (they feed the JSON report's
 // deterministic counters section and cost nanoseconds per driver-level
 // event, never inside an analysis hot loop).

@@ -84,13 +84,16 @@ class Tracer {
 };
 
 /// RAII span covering one pipeline or driver stage. Construction reads the
-/// flag word once; when no flag is set, neither constructor nor destructor
-/// touches a clock or any shared state.
+/// flag word once; when no flag is set and no `tally` is given, neither
+/// constructor nor destructor touches a clock or any shared state. A
+/// non-null `tally` makes the scope read obs::now_ns() whatever the flags
+/// and add its duration to `*tally` (a wide event's per-program stage
+/// fields); the caller owns it and must not share it across threads.
 class SpanScope {
  public:
-  explicit SpanScope(StageId stage)
-      : stage_(stage), flags_(obs::flags()),
-        start_(flags_ != 0 ? now_ns() : 0) {}
+  explicit SpanScope(StageId stage, uint64_t* tally = nullptr)
+      : stage_(stage), flags_(obs::flags()), tally_(tally),
+        start_(flags_ != 0 || tally != nullptr ? now_ns() : 0) {}
   ~SpanScope();
 
   SpanScope(const SpanScope&) = delete;
@@ -99,6 +102,7 @@ class SpanScope {
  private:
   StageId stage_;
   uint32_t flags_;
+  uint64_t* tally_;
   uint64_t start_;
 };
 

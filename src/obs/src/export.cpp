@@ -13,6 +13,8 @@ void append_json_escaped(std::string& out, std::string_view s) {
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
@@ -55,12 +57,6 @@ void append_seconds(std::string& out, uint64_t ns) {
                 ns % 1'000'000'000);
   out += buf;
 }
-
-// The fixed Histogram bounds (1µs..10s in ns) as exact decimal seconds.
-const char* const kBoundSeconds[Histogram::kBuckets - 1] = {
-    "0.000001", "0.00001", "0.0001", "0.001",
-    "0.01",     "0.1",     "1",      "10",
-};
 
 }  // namespace
 
@@ -145,33 +141,13 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
     append_u64(out, g.value);
     out += '\n';
   }
-  for (const auto& h : snap.histograms) {
-    out += "# HELP " + h.name +
-           " synat duration histogram (seconds; sums nondeterministic)\n";
-    out += "# TYPE " + h.name + " histogram\n";
-    uint64_t cum = 0;
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      cum += h.buckets[i];
-      out += h.name + "_bucket{le=\"";
-      if (i < Histogram::kBuckets - 1)
-        out += kBoundSeconds[i];
-      else
-        out += "+Inf";
-      out += "\"} ";
-      append_u64(out, cum);
-      out += '\n';
-    }
-    out += h.name + "_sum ";
-    append_seconds(out, h.sum_ns);
-    out += '\n' + h.name + "_count ";
-    append_u64(out, cum);
-    out += '\n';
-  }
   for (const auto& s : snap.summaries) {
-    // Quantiles of wall-clock latency: by nature schedule-dependent, so
-    // the whole family is flagged for the CI comparator.
+    // Quantiles and sums of wall-clock durations are schedule-dependent;
+    // a stage family's _count is not, and CI compares it across modes, so
+    // the family as a whole is not flagged "(nondeterministic)".
     out += "# HELP " + s.name +
-           " synat latency quantiles (seconds) (nondeterministic)\n";
+           " synat duration summary (seconds; quantiles and sum "
+           "nondeterministic)\n";
     out += "# TYPE " + s.name + " summary\n";
     for (double q : {0.5, 0.95, 0.99}) {
       char label[16];

@@ -4,16 +4,14 @@
 
 namespace synat::obs {
 
-const uint64_t Histogram::kBounds[Histogram::kBuckets - 1] = {
-    1'000,          // 1µs
-    10'000,         // 10µs
-    100'000,        // 100µs
-    1'000'000,      // 1ms
-    10'000'000,     // 10ms
-    100'000'000,    // 100ms
-    1'000'000'000,  // 1s
-    10'000'000'000, // 10s
-};
+std::string stage_metric_name(StageId s) {
+  std::string name = "synat_";
+  name += stage_category(s);
+  name += '_';
+  name += stage_name(s);
+  name += "_duration_seconds";
+  return name;
+}
 
 Registry& Registry::instance() {
   static Registry* r = new Registry();  // leaked: usable during teardown
@@ -69,34 +67,29 @@ Registry::Registry() {
   for (const auto& c : kCounters) counter(c.name, c.deterministic);
   gauge("synat_jobs");
   gauge("synat_serve_in_flight");
-  for (size_t i = 0; i < kNumStages; ++i) {
-    const auto s = static_cast<StageId>(i);
-    std::string name = "synat_";
-    name += stage_category(s);
-    name += '_';
-    name += stage_name(s);
-    name += "_duration_seconds";
-    stage_hist_[i] = &histogram(name);
-  }
+  for (size_t i = 0; i < kNumStages; ++i)
+    stage_hist_[i] =
+        &log2_histogram(stage_metric_name(static_cast<StageId>(i)));
   // Percentile sources (p50/p95/p99 in /metrics and the status RPC):
   // per-RPC latency in serve, per-program latency in the batch driver.
   log2_histogram("synat_serve_rpc_request_latency_seconds");
   log2_histogram("synat_driver_program_latency_seconds");
 }
 
-uint64_t Log2Histogram::quantile_ns(double q) const {
-  uint64_t total = count();
-  if (total == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  uint64_t target = static_cast<uint64_t>(q * static_cast<double>(total));
-  if (target == 0) target = 1;
-  uint64_t cum = 0;
-  for (uint32_t i = 0; i < kBuckets; ++i) {
-    cum += bucket(i);
-    if (cum >= target) return bucket_bound(i);
-  }
-  return bucket_bound(kBuckets - 1);
+Log2Sample Log2Histogram::sample(std::string name) const {
+  Log2Sample s;
+  s.name = std::move(name);
+  s.sum_ns = sum_ns();
+  for (uint32_t w = 0; w < kBuckets / 64; ++w)
+    for (uint64_t bits = occupied_[w].load(std::memory_order_relaxed);
+         bits != 0; bits &= bits - 1) {
+      const uint32_t i = w * 64 + static_cast<uint32_t>(__builtin_ctzll(bits));
+      if (uint64_t n = bucket(i); n != 0) {
+        s.buckets.emplace_back(i, n);
+        s.count += n;
+      }
+    }
+  return s;
 }
 
 uint64_t Log2Sample::quantile_ns(double q) const {
@@ -132,15 +125,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& Registry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  return *it->second;
-}
-
 Log2Histogram& Registry::log2_histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = summaries_.find(name);
@@ -160,24 +144,9 @@ MetricsSnapshot Registry::snapshot() const {
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_)
     snap.gauges.push_back({name, g->value()});
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramSample s;
-    s.name = name;
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) s.buckets[i] = h->bucket(i);
-    s.sum_ns = h->sum_ns();
-    snap.histograms.push_back(std::move(s));
-  }
   snap.summaries.reserve(summaries_.size());
-  for (const auto& [name, h] : summaries_) {
-    Log2Sample s;
-    s.name = name;
-    for (uint32_t i = 0; i < Log2Histogram::kBuckets; ++i)
-      if (uint64_t n = h->bucket(i); n != 0) s.buckets.emplace_back(i, n);
-    s.sum_ns = h->sum_ns();
-    s.count = h->count();
-    snap.summaries.push_back(std::move(s));
-  }
+  for (const auto& [name, h] : summaries_)
+    snap.summaries.push_back(h->sample(name));
   // std::map iteration is already name-sorted; the ordering contract of
   // MetricsSnapshot is kept explicit here for delta_from and exporters.
   return snap;
@@ -186,8 +155,6 @@ MetricsSnapshot Registry::snapshot() const {
 void Registry::merge(const MetricsSnapshot& delta) {
   for (const auto& c : delta.counters)
     if (c.value != 0) counter(c.name, c.deterministic).inc(c.value);
-  for (const auto& h : delta.histograms)
-    histogram(h.name).add(h.buckets, h.sum_ns);
   for (const auto& s : delta.summaries) {
     Log2Histogram& h = log2_histogram(s.name);
     for (const auto& [idx, n] : s.buckets) h.add_bucket(idx, n);
@@ -204,10 +171,6 @@ void Registry::reset() {
   for (auto& [name, g] : gauges_) {
     (void)name;
     g->set(0);
-  }
-  for (auto& [name, h] : histograms_) {
-    (void)name;
-    h->reset();
   }
   for (auto& [name, h] : summaries_) {
     (void)name;
@@ -230,27 +193,6 @@ MetricsSnapshot MetricsSnapshot::delta_from(const MetricsSnapshot& base) const {
     out.counters.push_back({c.name, c.value >= b ? c.value - b : 0,
                             c.deterministic});
   }
-  auto base_hist = [&](const std::string& name) -> const HistogramSample* {
-    auto it = std::lower_bound(base.histograms.begin(), base.histograms.end(),
-                               name,
-                               [](const HistogramSample& h, const std::string& n) {
-                                 return h.name < n;
-                               });
-    return (it != base.histograms.end() && it->name == name) ? &*it : nullptr;
-  };
-  out.histograms.reserve(histograms.size());
-  for (const auto& h : histograms) {
-    HistogramSample s;
-    s.name = h.name;
-    const HistogramSample* b = base_hist(h.name);
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      uint64_t bv = b ? b->buckets[i] : 0;
-      s.buckets[i] = h.buckets[i] >= bv ? h.buckets[i] - bv : 0;
-    }
-    uint64_t bs = b ? b->sum_ns : 0;
-    s.sum_ns = h.sum_ns >= bs ? h.sum_ns - bs : 0;
-    out.histograms.push_back(std::move(s));
-  }
   auto base_summary = [&](const std::string& name) -> const Log2Sample* {
     auto it = std::lower_bound(base.summaries.begin(), base.summaries.end(),
                                name,
@@ -259,28 +201,25 @@ MetricsSnapshot MetricsSnapshot::delta_from(const MetricsSnapshot& base) const {
                                });
     return (it != base.summaries.end() && it->name == name) ? &*it : nullptr;
   };
+  static const Log2Sample kEmpty;
   out.summaries.reserve(summaries.size());
   for (const auto& s : summaries) {
     Log2Sample d;
     d.name = s.name;
-    const Log2Sample* b = base_summary(s.name);
+    const Log2Sample* found = base_summary(s.name);
+    const Log2Sample& b = found != nullptr ? *found : kEmpty;
+    // Both bucket lists are index-sorted: one forward pass pairs them up.
+    auto bi = b.buckets.begin();
     for (const auto& [idx, n] : s.buckets) {
-      uint64_t bn = 0;
-      if (b != nullptr) {
-        auto it = std::lower_bound(
-            b->buckets.begin(), b->buckets.end(), idx,
-            [](const std::pair<uint32_t, uint64_t>& p, uint32_t i) {
-              return p.first < i;
-            });
-        if (it != b->buckets.end() && it->first == idx) bn = it->second;
-      }
+      while (bi != b.buckets.end() && bi->first < idx) ++bi;
+      const uint64_t bn =
+          bi != b.buckets.end() && bi->first == idx ? bi->second : 0;
       if (n > bn) {
         d.buckets.emplace_back(idx, n - bn);
         d.count += n - bn;
       }
     }
-    uint64_t bs = b ? b->sum_ns : 0;
-    d.sum_ns = s.sum_ns >= bs ? s.sum_ns - bs : 0;
+    d.sum_ns = s.sum_ns >= b.sum_ns ? s.sum_ns - b.sum_ns : 0;
     out.summaries.push_back(std::move(d));
   }
   return out;

@@ -8,6 +8,8 @@
 #include <thread>
 
 #include "synat/corpus/corpus.h"
+#include "synat/obs/metrics.h"
+#include "synat/obs/obs.h"
 
 namespace synat::driver {
 namespace {
@@ -180,17 +182,26 @@ TEST(BatchDriver, MetricsCountCorpus) {
 }
 
 TEST(BatchDriver, TimingsRenderOnlyWhenRequested) {
-  DriverOptions opts;
-  opts.collect_timings = true;
-  BatchDriver drv(opts);
+  // The stages block is rendered from the run's stage histograms, which
+  // the metrics flag fills (`synat batch --timings` sets it).
+  obs::set_flags(obs::kMetricsFlag);
+  BatchDriver drv(DriverOptions{});
   BatchReport report = drv.run(corpus_inputs());
-  EXPECT_GT(report.metrics.stage[0].samples, 0u);
+  obs::set_flags(0);
+  const std::string parse = obs::stage_metric_name(obs::StageId::Parse);
+  uint64_t parses = 0;
+  for (const obs::Log2Sample& h : report.metrics.telemetry.summaries)
+    if (h.name == parse) parses = h.count;
+  EXPECT_EQ(parses, corpus::all().size()) << "one parse span per program";
   std::string plain = to_json(report);
   EXPECT_EQ(plain.find("\"stages\""), std::string::npos);
   RenderOptions ropts;
   ropts.timings = true;
   std::string timed = to_json(report, ropts);
   EXPECT_NE(timed.find("\"stages\""), std::string::npos);
+  EXPECT_NE(timed.find("\"samples\": " + std::to_string(parses)),
+            std::string::npos)
+      << timed;
 }
 
 // --- Failure containment (DESIGN.md §3c) ----------------------------------

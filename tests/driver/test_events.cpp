@@ -15,6 +15,8 @@
 #include <sstream>
 #include <string>
 
+#include "synat/corpus/corpus.h"
+#include "synat/driver/driver.h"
 #include "synat/obs/obs.h"
 #include "synat/obs/recorder.h"
 
@@ -143,6 +145,44 @@ TEST(Events, RingOnlyLogMirrorsIntoTheRecorder) {
   log.append(std::move(e));
   EXPECT_EQ(obs::recorder().captured(), before + 1);
   EXPECT_EQ(log.lines(), 1u);
+}
+
+/// The unsigned value of `"key":` in one rendered event line.
+uint64_t field(const std::string& line, const std::string& key) {
+  size_t at = line.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(line.substr(at + key.size() + 3));
+}
+
+TEST(Events, StageFieldsAreTimedWithObsFlagsOff) {
+  if (obs::virtual_clock())
+    GTEST_SKIP() << "the virtual clock canonicalizes stage fields to 0";
+  obs::set_flags(0);
+  std::string path = tmp_path("stages");
+  {
+    obs::EventLogOptions opts;
+    opts.path = path;
+    opts.mirror_recorder = false;
+    obs::EventLog log(opts);
+    driver::DriverOptions dopts;
+    dopts.events = &log;
+    driver::ProgramInput in;
+    in.name = "corpus:nfq_prime";
+    in.source = std::string(corpus::get("nfq_prime").source);
+    driver::BatchDriver(dopts).run({in});
+  }
+  // The per-program stage fields come from the driver's span tallies, which
+  // read the real clock even though no span is recorded.
+  std::string line = slurp(path);
+  EXPECT_GT(field(line, "parse_ns"), 0u) << line;
+  EXPECT_GT(field(line, "analyze_ns"), 0u) << line;
+  EXPECT_GT(field(line, "report_ns"), 0u) << line;
+  EXPECT_EQ(field(line, "dur_ns"), field(line, "parse_ns") +
+                                       field(line, "analyze_ns") +
+                                       field(line, "report_ns"));
+  std::remove(path.c_str());
 }
 
 }  // namespace

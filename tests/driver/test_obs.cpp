@@ -46,9 +46,9 @@ const obs::CounterSample* find_counter(const MetricsSnapshot& s,
   return nullptr;
 }
 
-const obs::HistogramSample* find_hist(const MetricsSnapshot& s,
-                                      std::string_view name) {
-  for (const obs::HistogramSample& h : s.histograms)
+const obs::Log2Sample* find_hist(const MetricsSnapshot& s,
+                                 std::string_view name) {
+  for (const obs::Log2Sample& h : s.summaries)
     if (h.name == name) return &h;
   return nullptr;
 }
@@ -129,8 +129,27 @@ TEST_F(ObsTest, SnapshotIsSortedByName) {
       s.counters.begin(), s.counters.end(),
       [](const auto& a, const auto& b) { return a.name < b.name; }));
   EXPECT_TRUE(std::is_sorted(
-      s.histograms.begin(), s.histograms.end(),
+      s.summaries.begin(), s.summaries.end(),
       [](const auto& a, const auto& b) { return a.name < b.name; }));
+}
+
+TEST_F(ObsTest, HistogramSampleListsOccupiedBucketsInIndexOrder) {
+  obs::Log2Histogram& h =
+      obs::registry().log2_histogram("synat_test_sample_duration_seconds");
+  for (uint64_t ns : {5'000'000u, 7u, 5'000'000u, 300u}) h.observe(ns);
+  using Pairs = std::vector<std::pair<uint32_t, uint64_t>>;
+  const uint32_t a = obs::Log2Histogram::bucket_index(300);
+  const uint32_t b = obs::Log2Histogram::bucket_index(5'000'000);
+  obs::Log2Sample s = h.sample("x");
+  EXPECT_EQ(s.name, "x");
+  EXPECT_EQ(s.buckets, (Pairs{{7, 1}, {a, 1}, {b, 2}}));
+  EXPECT_EQ(s.count, 4u);
+  EXPECT_EQ(s.sum_ns, 10'000'307u);
+  // reset() clears the occupancy marks with the counts.
+  h.reset();
+  EXPECT_TRUE(h.sample().buckets.empty());
+  h.observe(300);
+  EXPECT_EQ(h.sample().buckets, (Pairs{{a, 1}}));
 }
 
 TEST_F(ObsTest, DeltaSubtractsPerName) {
@@ -147,20 +166,17 @@ TEST_F(ObsTest, DeltaSubtractsPerName) {
 TEST_F(ObsTest, MergeAddsCountersAndHistogramsButNotGauges) {
   MetricsSnapshot delta;
   delta.counters.push_back({"synat_test_merge_total", 7, true});
-  obs::HistogramSample h;
-  h.name = "synat_test_merge_duration_ns";
-  h.buckets[0] = 2;
-  h.buckets[8] = 1;
-  h.sum_ns = 123;
-  delta.histograms.push_back(h);
+  delta.summaries.push_back(
+      {"synat_test_merge_duration_seconds", {{0, 2}, {1000, 1}}, 123, 3});
   delta.gauges.push_back({"synat_jobs", 99});
 
   obs::registry().merge(delta);
   EXPECT_EQ(obs::registry().counter("synat_test_merge_total").value(), 7u);
-  obs::Histogram& hist =
-      obs::registry().histogram("synat_test_merge_duration_ns");
+  obs::Log2Histogram& hist =
+      obs::registry().log2_histogram("synat_test_merge_duration_seconds");
   EXPECT_EQ(hist.count(), 3u);
   EXPECT_EQ(hist.sum_ns(), 123u);
+  EXPECT_EQ(hist.bucket(1000), 1u);
   EXPECT_NE(obs::registry().gauge("synat_jobs").value(), 99u)
       << "a gauge is a level, not an increment; merge must skip it";
 }
@@ -186,16 +202,18 @@ TEST_F(ObsTest, DeterministicFlagIsFixedAtCreation) {
 
 TEST_F(ObsTest, DeltaOfIdenticalSnapshotsIsAllZero) {
   obs::registry().counter("synat_test_idem_total").inc(9);
-  obs::Histogram& h = obs::registry().histogram("synat_test_idem_duration_seconds");
+  obs::Log2Histogram& h =
+      obs::registry().log2_histogram("synat_test_idem_duration_seconds");
   h.observe(123);
   MetricsSnapshot snap = obs::registry().snapshot();
   MetricsSnapshot delta = snap.delta_from(snap);
   // Every name survives (consumers can rely on the shape), every value is 0.
   ASSERT_EQ(delta.counters.size(), snap.counters.size());
   for (const obs::CounterSample& c : delta.counters) EXPECT_EQ(c.value, 0u);
-  ASSERT_EQ(delta.histograms.size(), snap.histograms.size());
-  for (const obs::HistogramSample& hs : delta.histograms) {
-    EXPECT_EQ(hs.count(), 0u) << hs.name;
+  ASSERT_EQ(delta.summaries.size(), snap.summaries.size());
+  for (const obs::Log2Sample& hs : delta.summaries) {
+    EXPECT_EQ(hs.count, 0u) << hs.name;
+    EXPECT_TRUE(hs.buckets.empty()) << hs.name;
     EXPECT_EQ(hs.sum_ns, 0u) << hs.name;
   }
 }
@@ -215,20 +233,17 @@ TEST_F(ObsTest, ResetBetweenSnapshotsClampsInsteadOfUnderflowing) {
 }
 
 TEST_F(ObsTest, MergeOfDisjointHistogramSetsCreatesWithoutDisturbing) {
-  obs::Histogram& mine =
-      obs::registry().histogram("synat_test_disjoint_a_duration_seconds");
+  obs::Log2Histogram& mine =
+      obs::registry().log2_histogram("synat_test_disjoint_a_duration_seconds");
   mine.observe(50);
   MetricsSnapshot delta;
-  obs::HistogramSample h;
-  h.name = "synat_test_disjoint_b_duration_seconds";
-  h.buckets[3] = 4;
-  h.sum_ns = 999;
-  delta.histograms.push_back(h);
+  delta.summaries.push_back(
+      {"synat_test_disjoint_b_duration_seconds", {{3, 4}}, 999, 4});
   obs::registry().merge(delta);
   // The unknown name is created with exactly the delta's contents; the
   // pre-existing disjoint histogram is untouched.
-  obs::Histogram& theirs =
-      obs::registry().histogram("synat_test_disjoint_b_duration_seconds");
+  obs::Log2Histogram& theirs =
+      obs::registry().log2_histogram("synat_test_disjoint_b_duration_seconds");
   EXPECT_EQ(theirs.count(), 4u);
   EXPECT_EQ(theirs.sum_ns(), 999u);
   EXPECT_EQ(mine.count(), 1u);
@@ -317,12 +332,10 @@ TEST_F(ObsTest, PrometheusExposesCountersGaugesHistograms) {
   s.counters.push_back({"synat_cache_hits_total", 12, true});
   s.counters.push_back({"synat_watchdog_trips_total", 1, false});
   s.gauges.push_back({"synat_jobs", 4});
-  obs::HistogramSample h;
-  h.name = "synat_pipeline_parse_duration_seconds";
-  h.buckets[0] = 3;  // <= 1µs
-  h.buckets[8] = 1;  // +Inf
-  h.sum_ns = 42;
-  s.histograms.push_back(h);
+  // Fifty samples of 5ns (an exact bucket) and fifty of 2000ns.
+  const uint32_t slow = obs::Log2Histogram::bucket_index(2000);
+  s.summaries.push_back({"synat_pipeline_parse_duration_seconds",
+                         {{5, 50}, {slow, 50}}, 100'250, 100});
 
   std::string prom = obs::to_prometheus(s);
   EXPECT_NE(prom.find("# TYPE synat_cache_hits_total counter"),
@@ -334,18 +347,31 @@ TEST_F(ObsTest, PrometheusExposesCountersGaugesHistograms) {
   size_t help = prom.find("# HELP synat_watchdog_trips_total");
   ASSERT_NE(help, std::string::npos);
   EXPECT_NE(prom.find("(nondeterministic)", help), std::string::npos);
-  // Cumulative buckets with bounds in seconds: le="0.000001" (the 1µs
-  // bucket) sees 3, +Inf sees all 4; the sum is 42ns as exact seconds.
-  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_bucket"
-                      "{le=\"0.000001\"} 3"),
+  // A histogram is a summary family: quantiles in seconds (the median is
+  // the exact 5ns bucket, p99 the upper bound 2015ns of 2000ns's bucket),
+  // then the sum as exact seconds and the count. No cumulative buckets.
+  EXPECT_NE(prom.find("# TYPE synat_pipeline_parse_duration_seconds summary"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds"
+                      "{quantile=\"0.5\"} 0.000000005"),
             std::string::npos);
-  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_bucket"
-                      "{le=\"+Inf\"} 4"),
-            std::string::npos);
+  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds"
+                      "{quantile=\"0.99\"} 0.000002015"),
+            std::string::npos)
+      << prom;
   EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_sum "
-                      "0.000000042"),
+                      "0.000100250"),
             std::string::npos);
-  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_count 4"),
+  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_count 100"),
+            std::string::npos);
+  EXPECT_EQ(prom.find("_bucket"), std::string::npos);
+  // The stage family's _count is the cross-mode invariant CI compares, so
+  // its HELP line must not carry the comparator's skip marker.
+  size_t stage_help = prom.find("# HELP synat_pipeline_parse_duration_seconds");
+  ASSERT_NE(stage_help, std::string::npos);
+  EXPECT_EQ(prom.substr(stage_help, prom.find('\n', stage_help) - stage_help)
+                .find("(nondeterministic)"),
             std::string::npos);
 }
 
@@ -356,11 +382,9 @@ MetricsSnapshot sample_delta() {
   MetricsSnapshot d;
   d.counters.push_back({"synat_procs_analyzed_total", 3, true});
   d.counters.push_back({"synat_worker_heartbeats_total", 2, false});
-  obs::HistogramSample h;
-  h.name = "synat_pipeline_infer_duration_ns";
-  h.buckets[2] = 5;
-  h.sum_ns = 777;
-  d.histograms.push_back(h);
+  d.summaries.push_back({"synat_pipeline_infer_duration_seconds",
+                         {{2, 5}, {700, 1}, {1919, 2}}, 777, 8});
+  d.summaries.push_back({"synat_pipeline_parse_duration_seconds", {}, 0, 0});
   return d;
 }
 
@@ -387,9 +411,15 @@ TEST_F(ObsTest, TelemetryRoundTripsSpansAndMetrics) {
   EXPECT_EQ(delta2.counters[0].value, 3u);
   EXPECT_TRUE(delta2.counters[0].deterministic);
   EXPECT_FALSE(delta2.counters[1].deterministic);
-  ASSERT_EQ(delta2.histograms.size(), 1u);
-  EXPECT_EQ(delta2.histograms[0].buckets[2], 5u);
-  EXPECT_EQ(delta2.histograms[0].sum_ns, 777u);
+  const MetricsSnapshot sent = sample_delta();
+  ASSERT_EQ(delta2.summaries.size(), sent.summaries.size());
+  for (size_t i = 0; i < sent.summaries.size(); ++i) {
+    EXPECT_EQ(delta2.summaries[i].name, sent.summaries[i].name);
+    EXPECT_EQ(delta2.summaries[i].buckets, sent.summaries[i].buckets);
+    EXPECT_EQ(delta2.summaries[i].sum_ns, sent.summaries[i].sum_ns);
+    EXPECT_EQ(delta2.summaries[i].count, sent.summaries[i].count)
+        << "the count is the sum of the decoded bucket counts";
+  }
 }
 
 TEST_F(ObsTest, TelemetryRejectsTruncation) {
@@ -427,18 +457,39 @@ TEST_F(ObsTest, TelemetryRejectsUnknownStageAndBadBucketCount) {
     MetricsSnapshot delta;
     EXPECT_FALSE(driver::codec::get_telemetry(in, spans, delta));
   }
-  wire.clear();
-  driver::codec::put_u64(wire, 0);  // no spans
-  driver::codec::put_u64(wire, 0);  // no counters
-  driver::codec::put_u64(wire, 1);  // one histogram...
-  driver::codec::put_str(wire, "synat_pipeline_parse_duration_ns");
-  driver::codec::put_u32(wire, obs::Histogram::kBuckets + 1);  // ...bad width
-  {
-    driver::codec::Reader in(wire);
+  // One histogram with the given sparse (index, count) pairs, declaring
+  // `declared` pairs.
+  auto histogram_frame = [](uint64_t declared,
+                            std::vector<std::pair<uint32_t, uint64_t>> pairs) {
+    std::string w;
+    driver::codec::put_u64(w, 0);  // no spans
+    driver::codec::put_u64(w, 0);  // no counters
+    driver::codec::put_u64(w, 1);  // one histogram
+    driver::codec::put_str(w, "synat_pipeline_parse_duration_seconds");
+    driver::codec::put_u64(w, 100);  // sum_ns
+    driver::codec::put_u64(w, declared);
+    for (const auto& [idx, n] : pairs) {
+      driver::codec::put_u32(w, idx);
+      driver::codec::put_u64(w, n);
+    }
+    return w;
+  };
+  auto decodes = [](const std::string& w) {
+    driver::codec::Reader in(w);
     std::vector<SpanRecord> spans;
     MetricsSnapshot delta;
-    EXPECT_FALSE(driver::codec::get_telemetry(in, spans, delta));
-  }
+    return driver::codec::get_telemetry(in, spans, delta) && in.at_end();
+  };
+  const uint32_t top = obs::Log2Histogram::kBuckets - 1;
+  EXPECT_TRUE(decodes(histogram_frame(2, {{3, 1}, {top, 2}})));
+  EXPECT_FALSE(decodes(histogram_frame(obs::Log2Histogram::kBuckets + 1, {})))
+      << "more pairs than buckets";
+  EXPECT_FALSE(decodes(histogram_frame(1, {{top + 1, 1}})))
+      << "bucket index out of range";
+  EXPECT_FALSE(decodes(histogram_frame(2, {{9, 1}, {3, 1}})))
+      << "unsorted bucket indices";
+  EXPECT_FALSE(decodes(histogram_frame(2, {{3, 1}, {3, 1}})))
+      << "repeated bucket index";
 }
 
 // ---------------------------------------------------------------------------
@@ -509,16 +560,16 @@ TEST_F(ObsTest, PipelineStageCountsAgreeBetweenInProcessAndIsolate) {
 
   // Only pipeline-category histograms are mode-invariant (each isolated
   // sub-driver runs its own Schedule/Report driver stages).
-  for (const obs::HistogramSample& h : serial.histograms) {
+  for (const obs::Log2Sample& h : serial.summaries) {
     if (h.name.rfind("synat_pipeline_", 0) != 0) continue;
-    const obs::HistogramSample* other = find_hist(isolated, h.name);
+    const obs::Log2Sample* other = find_hist(isolated, h.name);
     ASSERT_NE(other, nullptr) << h.name;
-    EXPECT_EQ(h.count(), other->count()) << h.name;
+    EXPECT_EQ(h.count, other->count) << h.name;
   }
-  const obs::HistogramSample* parse =
+  const obs::Log2Sample* parse =
       find_hist(serial, "synat_pipeline_parse_duration_seconds");
   ASSERT_NE(parse, nullptr);
-  EXPECT_GT(parse->count(), 0u);
+  EXPECT_GT(parse->count, 0u);
 }
 
 }  // namespace

@@ -81,8 +81,12 @@ int run_telemetry(const uint8_t* data, size_t size) {
                "re-encoded telemetry failed to decode");
   SYNAT_ASSERT(spans2.size() == spans.size() &&
                    delta2.counters.size() == delta.counters.size() &&
-                   delta2.histograms.size() == delta.histograms.size(),
+                   delta2.summaries.size() == delta.summaries.size(),
                "telemetry re-encode is not a fixpoint");
+  for (size_t i = 0; i < delta.summaries.size(); ++i)
+    SYNAT_ASSERT(delta2.summaries[i].count == delta.summaries[i].count &&
+                     delta2.summaries[i].buckets == delta.summaries[i].buckets,
+                 "telemetry histogram re-encode is not a fixpoint");
   return 0;
 }
 

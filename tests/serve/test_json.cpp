@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "synat/driver/json.h"
+#include "synat/obs/events.h"
+#include "synat/obs/export.h"
+
 namespace synat::serve {
 namespace {
 
@@ -117,6 +121,44 @@ TEST(ServeJson, ParseEncodeFixpoint) {
     EXPECT_EQ(once, d);
     EXPECT_EQ(encode_json(parse_ok(once)), once);
   }
+}
+
+// Every JSON output goes through obs::append_json_escaped; whatever bytes a
+// string holds, each writer's document must parse back to them.
+TEST(JsonEscape, EveryWriterRoundTripsThroughTheParser) {
+  std::string hostile;
+  for (int c = 0; c < 0x20; ++c) hostile += static_cast<char>(c);
+  hostile += "\"\\\x7f" "A\xc3\xa9\xf0\x9f\x98\x80";
+
+  driver::JsonWriter w;
+  w.begin_object();
+  w.key(hostile).value(hostile);
+  w.end_object();
+  JsonValue report = parse_ok(w.str());
+  ASSERT_EQ(report.members.size(), 1u);
+  EXPECT_EQ(report.members[0].first, hostile) << "JsonWriter key";
+  EXPECT_EQ(report.members[0].second.str, hostile) << "JsonWriter value";
+
+  JsonValue rpc = JsonValue::make_object();
+  rpc.add(hostile, JsonValue::make_string(hostile));
+  JsonValue reply = parse_ok(encode_json(rpc));
+  ASSERT_EQ(reply.members.size(), 1u);
+  EXPECT_EQ(reply.members[0].first, hostile) << "encode_json key";
+  EXPECT_EQ(reply.members[0].second.str, hostile) << "encode_json value";
+
+  obs::Event ev;
+  ev.name = hostile;
+  ev.error_kind = hostile;
+  JsonValue line = parse_ok(obs::render_event(ev));
+  EXPECT_EQ(line.get("name")->str, hostile) << "event field";
+  EXPECT_EQ(line.get("error_kind")->str, hostile) << "event field";
+
+  JsonValue trace = parse_ok(obs::to_chrome_trace({}, {{0, hostile}}));
+  const JsonValue* events = trace.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_FALSE(events->items.empty());
+  EXPECT_EQ(events->items[0].get("args")->get("name")->str, hostile)
+      << "chrome-trace lane name";
 }
 
 }  // namespace

@@ -10,9 +10,12 @@ What is deliberately skipped, mirroring tests/driver/test_obs.cpp:
   * synat_worker_* counters — the in-process driver never dispatches
     workers, so these legitimately differ between modes;
   * gauges (synat_jobs is the mode under test, not an invariant);
-  * histogram _bucket and _sum series — wall-clock-dependent; only the
+  * summary quantile and _sum series — wall-clock-dependent; only the
     synat_pipeline_*_duration_seconds_count totals are mode-invariant
     (driver stages like Schedule run once per isolated sub-driver too).
+
+The comparison exits 1 when it compared no synat_pipeline_* _count series
+at all: a renamed family or type must not quietly skip the stage check.
 
 Usage: compare_metrics.py A.prom B.prom
 """
@@ -48,7 +51,7 @@ def comparable(series, nondet, types):
         if base == family or base.startswith(family + "_"):
             if kind == "gauge":
                 return False
-            if kind == "histogram":
+            if kind == "summary":
                 return base == family + "_count" and \
                     family.startswith("synat_pipeline_")
     for family in nondet:
@@ -69,7 +72,11 @@ def main():
     keys_a = {k for k in a_values if comparable(k, nondet, types)}
     keys_b = {k for k in b_values if comparable(k, nondet, types)}
 
+    stage_counts = [k for k in keys_a | keys_b
+                    if k.startswith("synat_pipeline_") and k.endswith("_count")]
     failures = []
+    if not stage_counts:
+        failures.append("no synat_pipeline_* summary _count series compared")
     for k in sorted(keys_a | keys_b):
         va, vb = a_values.get(k), b_values.get(k)
         if va != vb:
@@ -81,7 +88,7 @@ def main():
               file=sys.stderr)
         return 1
     print(f"compare_metrics: OK ({len(keys_a | keys_b)} deterministic "
-          f"series identical)")
+          f"series identical, {len(stage_counts)} pipeline stage counts)")
     return 0
 
 

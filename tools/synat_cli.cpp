@@ -297,7 +297,6 @@ int cmd_batch(int argc, char** argv) {
         return kExitUsage;
       }
     } else if (a == "--timings") {
-      dopts.collect_timings = true;
       ropts.timings = true;
     } else if (a == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
@@ -387,7 +386,9 @@ int cmd_batch(int argc, char** argv) {
   // of the address space) is inherited at fork time.
   uint32_t obs_flags = 0;
   if (!trace_out.empty()) obs_flags |= obs::kTraceFlag;
-  if (!metrics_out.empty()) obs_flags |= obs::kMetricsFlag;
+  // --timings renders the report's `stages` block from the run's stage
+  // histograms, which only the metrics flag fills.
+  if (!metrics_out.empty() || ropts.timings) obs_flags |= obs::kMetricsFlag;
   obs::set_flags(obs_flags);
   if (!trace_out.empty())
     obs::Tracer::instance().set_lane_name(0,
